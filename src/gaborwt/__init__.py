@@ -3,16 +3,8 @@
 Exact Hilbert-transform pairs of semi-orthogonal spline wavelet bases
 and the 1D/2D dual-tree complex transforms built from them, with
 FFT-based perfect-reconstruction filter banks, Gabor-limit analysis and
-file codecs for signals, images, pyramids and filter bundles.
+file codecs for signals, images and pyramids.
 """
-
-import os as _os
-
-# cap BLAS/FFT thread pools before numpy initializes them
-_threads = _os.environ.get("GABORWT_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
 
 from .spline_core import (
     SplineParams, FrequencyGrid, ComplexResponse,
@@ -21,7 +13,6 @@ from .spline_core import (
 from .filter_design import (
     ChannelFilters, DualTreeDesign, design_channel, design_dual_tree,
     ht_pair_channel, verify_pr, prefilter_response, analytic_filter,
-    save_design, load_design,
 )
 from .transform1d import (
     Signal1D, Pyramid1D, project, unproject, analyze_level, synthesize_level,

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Commands: design, xform1d, ixform1d, xform2d, ixform2d, render, verify,
+Commands: xform1d, ixform1d, xform2d, ixform2d, render, verify,
 gabor-compare.  Exit codes: 0 success, 1 verification failure, 2 usage
-or I/O error.  The environment variable GABORWT_THREADS caps the BLAS/
-FFT thread pools (set before numpy spins them up, in the package init).
+or I/O error, 3 internal error (a numerical invariant of the transform
+failed, e.g. an imaginary residue).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filter_design import design_dual_tree, save_design
+from .filter_design import design_dual_tree
 from .gabor_analysis import convergence_report
 from .io import (
     read_image, read_signal, save_pyramid1d, save_pyramid2d,
@@ -29,6 +29,7 @@ from .verify import format_report, run_all
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _spline_args(sp, tau_default=0.0):
@@ -42,12 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Gabor-like dual-tree complex wavelet transforms on fractional B-splines",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("design", help="precompute and store a dual-tree filter bank")
-    _spline_args(sp)
-    sp.add_argument("--length", type=int, required=True, help="signal length (power of two)")
-    sp.add_argument("--levels", type=int, default=3)
-    sp.add_argument("--out", dest="out_path", required=True, help="output bundle directory")
 
     sp = sub.add_parser("xform1d", help="forward 1D transform of a stored signal")
     _spline_args(sp)
@@ -93,13 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", dest="out_path", required=True, help="CSV report path")
 
     return ap
-
-
-def cmd_design(args) -> int:
-    design = design_dual_tree(SplineParams(args.alpha, args.tau), args.length, args.levels)
-    save_design(design, args.out_path)
-    print(f"wrote filter bank to {args.out_path}")
-    return EXIT_OK
 
 
 def cmd_xform1d(args) -> int:
@@ -173,7 +161,6 @@ def cmd_gabor_compare(args) -> int:
 
 
 _HANDLERS = {
-    "design": cmd_design,
     "xform1d": cmd_xform1d,
     "ixform1d": cmd_ixform1d,
     "xform2d": cmd_xform2d,
@@ -188,7 +175,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (OSError, ValueError, AssertionError) as exc:
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

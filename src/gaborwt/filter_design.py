@@ -23,10 +23,7 @@ where A is the autocorrelation filter.  All responses are cached per
 from __future__ import annotations
 
 import functools
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -50,13 +47,9 @@ __all__ = [
     "prefilter_response",
     "analytic_filter",
     "design_dual_tree",
-    "save_design",
-    "load_design",
 ]
 
 RIESZ_FLOOR = 1e-8
-MANIFEST_NAME = "manifest.json"
-FORMAT_VERSION = 1
 
 
 class RieszBoundError(ValueError):
@@ -244,82 +237,15 @@ def analytic_filter(design: DualTreeDesign) -> ComplexResponse:
     return ComplexResponse(cha.prefilter.grid, vals)
 
 
-def design_dual_tree(p: SplineParams, n: int, levels: int) -> DualTreeDesign:
-    """Dual-tree pair: direct design at tau plus its HT-modulated partner."""
-    cha = design_channel(p, n, levels)
+@functools.lru_cache(maxsize=64)
+def _design_dual_tree_cached(alpha: float, tau: float, n: int, levels: int) -> DualTreeDesign:
+    cha = design_channel(SplineParams(alpha, tau), n, levels)
     return DualTreeDesign(cha, ht_pair_channel(cha), levels, n)
 
 
-# ---------------------------------------------------------------------------
-# serialization: JSON manifest + raw little-endian complex64 arrays
-# (interleaved re/im, i.e. numpy dtype '<c8')
+def design_dual_tree(p: SplineParams, n: int, levels: int) -> DualTreeDesign:
+    """Dual-tree pair: direct design at tau plus its HT-modulated partner.
 
-def _write_c8(path: Path, values: np.ndarray):
-    path.write_bytes(np.ascontiguousarray(values, dtype="<c8").tobytes())
-
-
-def _read_c8(path: Path, n: int) -> np.ndarray:
-    raw = np.frombuffer(path.read_bytes(), dtype="<c8")
-    if raw.shape != (n,):
-        raise ValueError(f"{path}: expected {n} complex64 samples, got {raw.shape}")
-    return raw.astype(np.complex128)
-
-
-def save_design(design: DualTreeDesign, out_dir) -> Path:
-    """Write a filter-bank bundle: manifest.json + one .c8 file per response."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for tag, ch in (("a", design.channel_a), ("b", design.channel_b)):
-        for i, lf in enumerate(ch.levels, start=1):
-            for name in ("h_tilde", "g_tilde", "h", "g"):
-                resp: ComplexResponse = getattr(lf, name)
-                fname = f"{tag}_L{i}_{name}.c8"
-                _write_c8(out / fname, resp.values)
-                entries.append({"channel": tag, "level": i, "name": name,
-                                "file": fname, "length": resp.grid.n})
-        fname = f"{tag}_prefilter.c8"
-        _write_c8(out / fname, ch.prefilter.values)
-        entries.append({"channel": tag, "level": 0, "name": "prefilter",
-                        "file": fname, "length": ch.signal_len})
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "filter_bank",
-        "byte_order": "little-endian",
-        "sample_format": "complex64 interleaved re/im",
-        "alpha": design.channel_a.params.alpha,
-        "tau": design.channel_a.params.tau,
-        "length": design.signal_len,
-        "levels": design.levels,
-        "responses": entries,
-    }
-    (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return out
-
-
-def load_design(in_dir) -> DualTreeDesign:
-    """Rebuild a DualTreeDesign from a saved bundle (complex64 precision)."""
-    src = Path(in_dir)
-    manifest = json.loads((src / MANIFEST_NAME).read_text())
-    if manifest.get("kind") != "filter_bank":
-        raise ValueError(f"{src}: not a filter-bank bundle")
-    n, levels = manifest["length"], manifest["levels"]
-    p = SplineParams(manifest["alpha"], manifest["tau"])
-    by_key = {(e["channel"], e["level"], e["name"]): e for e in manifest["responses"]}
-
-    def channel(tag: str, params: SplineParams) -> ChannelFilters:
-        lfs = []
-        for i in range(1, levels + 1):
-            resp = {}
-            for name in ("h_tilde", "g_tilde", "h", "g"):
-                e = by_key[(tag, i, name)]
-                grid = FrequencyGrid(e["length"])
-                resp[name] = ComplexResponse(grid, _read_c8(src / e["file"], e["length"]))
-            lfs.append(LevelFilters(**resp))
-        e = by_key[(tag, 0, "prefilter")]
-        pre = ComplexResponse(FrequencyGrid(n), _read_c8(src / e["file"], n))
-        return ChannelFilters(params, tuple(lfs), pre)
-
-    cha = channel("a", p)
-    chb = channel("b", p.half_shifted())
-    return DualTreeDesign(cha, chb, levels, n)
+    The pair is cached per (alpha, tau, n, levels), like its first channel.
+    """
+    return _design_dual_tree_cached(p.alpha, p.tau, n, levels)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spline_core import SplineParams
-from .transform1d import render_scaling, render_wavelet
+from .transform1d import render_wavelet
 from .transform2d import render_wavelet2d
 
 __all__ = [
@@ -155,10 +155,13 @@ def _matched_sup_dev(rendered: np.ndarray, targets) -> float:
     return min(dev(g) for t in targets for g in (t, np.conj(t)))
 
 
+def _sup_dev_1d(p: SplineParams, x: np.ndarray, psi: np.ndarray) -> float:
+    return _matched_sup_dev(psi, [gabor1d(p, x), gabor1d(p, x + 1.0)])
+
+
 def sup_deviation_1d(p: SplineParams, n: int = 1 << 12, octaves: int = 6) -> float:
     """Amplitude-matched sup deviation of the rendered 1D analytic wavelet."""
-    x, psi = render_wavelet(p, n, octaves)
-    return _matched_sup_dev(psi, [gabor1d(p, x), gabor1d(p, x + 1.0)])
+    return _sup_dev_1d(p, *render_wavelet(p, n, octaves))
 
 
 def sup_deviation_2d(k: int, p: SplineParams, n: int = 1 << 9, octaves: int = 4) -> float:
@@ -184,9 +187,7 @@ def convergence_report(alphas, n: int = 1 << 12, octaves: int = 6,
     for alpha in alphas:
         p = SplineParams(alpha, tau)
         x, psi = render_wavelet(p, n, octaves)
-        rows.append((alpha,
-                     _matched_sup_dev(psi, [gabor1d(p, x), gabor1d(p, x + 1.0)]),
-                     uncertainty_product(psi, float(x[1] - x[0]))))
+        rows.append((alpha, _sup_dev_1d(p, x, psi), uncertainty_product(psi, float(x[1] - x[0]))))
     if csv_path is not None:
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -235,11 +235,14 @@ def autocorr_ft(alpha: float, omega, tol: float = 1e-13) -> np.ndarray:
         raise ValueError("tolerance must be positive")
     w = np.atleast_1d(np.asarray(omega, dtype=np.float64))
     scalar = np.ndim(omega) == 0
-    u = np.mod(w, 2.0 * np.pi)  # reduce to [0, 2*pi)
+    # A is even; reducing |w| keeps a small negative w small instead of
+    # mapping it to 2*pi - |w|, where that subtraction loses its digits
+    u = np.mod(np.abs(w), 2.0 * np.pi)  # reduce to [0, 2*pi)
     u[u >= 2.0 * np.pi] = 0.0  # np.mod can round up to exactly 2*pi
     s = 2.0 * (alpha + 1.0)
     out = np.ones(u.shape, dtype=np.float64)
-    reg = u != 0.0
+    # subnormal u underflows sin(u/2) to 0; A is 1 to working precision there
+    reg = u >= np.finfo(np.float64).tiny
     if np.any(reg):
         # The k = 0 and k = -1 lattice terms blow up as u -> 0 or 2*pi;
         # peel them out of the zetas so every factor stays bounded.

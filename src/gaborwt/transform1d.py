@@ -7,6 +7,9 @@ channels of a :class:`~gaborwt.filter_design.DualTreeDesign` are run in
 lock-step and their highpass outputs combined into complex subbands
 w_i = cH_i + j c'H_i, giving a 2x-redundant analytic decomposition with
 an exact left inverse.
+
+The projection and the one-level kernels act along any axis of an
+array; the 2D transform applies the same kernels along each image axis.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filter_design import ChannelFilters, DualTreeDesign
-from .spline_core import ComplexResponse, SplineParams, bspline_ft, fd_ft, refinement_ft, autocorr_ft
+from .spline_core import ComplexResponse, SplineParams, autocorr_ft, bspline_ft, refinement_ft
 
 __all__ = [
     "Signal1D",
@@ -88,55 +91,90 @@ def _real_part(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.real)
 
 
-def project(f: Signal1D, pre: ComplexResponse) -> np.ndarray:
-    """Pre-filter samples into scaling-space coefficients (circular)."""
-    if f.n != pre.grid.n:
-        raise ValueError("signal and pre-filter length mismatch")
-    return _real_part(np.fft.ifft(np.fft.fft(f.samples) * pre.values))
+def _separable(c: np.ndarray, pre: tuple[ComplexResponse, ...], axes) -> np.ndarray:
+    """Broadcast product of one pre-filter per axis of ``axes``."""
+    if len(pre) != len(axes):
+        raise ValueError("need one pre-filter per axis")
+    sep = 1.0
+    for resp, axis in zip(pre, axes):
+        if c.shape[axis] != resp.grid.n:
+            raise ValueError("signal and pre-filter length mismatch")
+        # length-1 axes after ``axis`` make the response broadcast along it
+        sep = sep * resp.values.reshape((-1,) + (1,) * (c.ndim - 1 - axis % c.ndim))
+    return sep
 
 
-def unproject(c: np.ndarray, pre: ComplexResponse) -> np.ndarray:
+def _fft(x: np.ndarray, axes, inverse: bool = False) -> np.ndarray:
+    """One (inverse) DFT over ``axes``.
+
+    A single axis goes to fft/ifft: fftn's call overhead is twice theirs,
+    which is a few percent of a whole transform of a short signal.
+    """
+    if len(axes) == 1:
+        return (np.fft.ifft if inverse else np.fft.fft)(x, axis=axes[0])
+    return (np.fft.ifftn if inverse else np.fft.fftn)(x, axes=axes)
+
+
+def project(c: np.ndarray, *pre: ComplexResponse, axes=(-1,)) -> np.ndarray:
+    """Pre-filter samples into scaling-space coefficients (circular).
+
+    ``pre`` holds one response per axis of ``axes``; their separable
+    product is applied with one FFT pair over those axes.
+    """
+    sep = _separable(c, pre, axes)
+    return _real_part(_fft(_fft(c, axes) * sep, axes, inverse=True))
+
+
+def unproject(c: np.ndarray, *pre: ComplexResponse, axes=(-1,)) -> np.ndarray:
     """Invert :func:`project` by spectral division (P has no zero bins)."""
-    if c.size != pre.grid.n:
-        raise ValueError("coefficient and pre-filter length mismatch")
-    return _real_part(np.fft.ifft(np.fft.fft(c) / pre.values))
+    sep = _separable(c, pre, axes)
+    return _real_part(_fft(_fft(c, axes) / sep, axes, inverse=True))
 
 
-def analyze_level(c: np.ndarray, h_tilde: ComplexResponse, g_tilde: ComplexResponse):
-    """One analysis step: filter and decimate both branches.
+def analyze_level(c: np.ndarray, h_tilde: ComplexResponse, g_tilde: ComplexResponse,
+                  axis: int = -1):
+    """One analysis step along ``axis``: filter and decimate both branches.
 
     Decimation is the spectral fold Y(k) = (X_F(k) + X_F(k + n/2)) / 2
     computed once per branch, followed by a half-length inverse DFT.
+    The spectrum is taken with ``axis`` swapped last (a view), so the 1D
+    responses broadcast as they are; each branch folds the two
+    half-spectra without forming the full filtered spectrum.
     """
-    n = c.size
+    n = c.shape[axis]
     if n != h_tilde.grid.n or n != g_tilde.grid.n:
         raise ValueError("coefficient length does not match filter grid")
-    spec = np.fft.fft(c)
+    half = n // 2
+    spec = np.fft.fft(c.swapaxes(axis, -1))
+    lo, hi = spec[..., :half], spec[..., half:]
 
     def branch(filt):
-        xf = spec * filt.values
-        folded = 0.5 * (xf[: n // 2] + xf[n // 2 :])
-        return _real_part(np.fft.ifft(folded))
+        folded = lo * filt.values[:half]
+        folded += hi * filt.values[half:]
+        folded *= 0.5
+        return _real_part(np.fft.ifft(folded).swapaxes(axis, -1))
 
     return branch(h_tilde), branch(g_tilde)
 
 
 def synthesize_level(cl: np.ndarray, ch: np.ndarray,
-                     h: ComplexResponse, g: ComplexResponse) -> np.ndarray:
-    """One synthesis step: upsample, filter and merge both branches.
+                     h: ComplexResponse, g: ComplexResponse, axis: int = -1) -> np.ndarray:
+    """One synthesis step along ``axis``: upsample, filter and merge both branches.
 
     Upsampling replicates the half-length spectra over the full grid;
     the decimation's 1/2 is compensated here by the factor 2.
     """
     n = h.grid.n
-    if cl.size != n // 2 or ch.size != n // 2:
+    if cl.shape[axis] != n // 2 or ch.shape[axis] != n // 2:
         raise ValueError("subband length does not match filter grid")
     if n != g.grid.n:
         raise ValueError("synthesis filters on mismatched grids")
-    ul = np.tile(np.fft.fft(cl), 2)
-    uh = np.tile(np.fft.fft(ch), 2)
-    out = 2.0 * (np.conj(h.values) * ul + np.conj(g.values) * uh)
-    return _real_part(np.fft.ifft(out))
+    ul = np.fft.fft(cl.swapaxes(axis, -1))
+    uh = np.fft.fft(ch.swapaxes(axis, -1))
+    out = np.conj(h.values) * np.concatenate((ul, ul), axis=-1)
+    out += np.conj(g.values) * np.concatenate((uh, uh), axis=-1)
+    out *= 2.0
+    return _real_part(np.fft.ifft(out).swapaxes(axis, -1))
 
 
 def _analyze_channel(c0: np.ndarray, ch: ChannelFilters):
@@ -162,8 +200,8 @@ def dtcwt1d_forward(f: Signal1D, design: DualTreeDesign) -> Pyramid1D:
         raise ValueError(
             f"signal length {f.n} does not match design length {design.signal_len}"
         )
-    ca0 = project(f, design.channel_a.prefilter)
-    cb0 = project(f, design.channel_b.prefilter)
+    ca0 = project(f.samples, design.channel_a.prefilter)
+    cb0 = project(f.samples, design.channel_b.prefilter)
     la, ha = _analyze_channel(ca0, design.channel_a)
     lb, hb = _analyze_channel(cb0, design.channel_b)
     w = tuple(a + 1j * b for a, b in zip(ha, hb))

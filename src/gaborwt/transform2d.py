@@ -6,7 +6,10 @@ Their 12 highpass subbands per level are permuted into two 6-vectors
 (zeta, xi) and mixed by the orthonormal block matrices Lambda_R and
 Lambda_I into six complex subbands, each oriented along one of the
 angles 0, 0, 90, 90, 45, 135 degrees.  The transform is 4x redundant
-and exactly invertible.
+and exactly invertible.  Each channel is the tensor product of two 1D
+decompositions: one level runs transform1d's kernels along axis 0 and
+then along axis 1, and the projection applies both axes' pre-filters
+with one 2D FFT pair.
 
 Axis convention: images are indexed [x, y] (axis 0 is x, axis 1 is y).
 HL denotes high-x/low-y, LH low-x/high-y.
@@ -18,9 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filter_design import ChannelFilters, design_channel
-from .spline_core import ComplexResponse, SplineParams, bspline_ft
-from .transform1d import render_scaling, render_wavelet, _wavelet_hat
+from .filter_design import ChannelFilters, design_dual_tree
+from .spline_core import SplineParams, bspline_ft
+from .transform1d import (
+    analyze_level, project, render_scaling, render_wavelet, synthesize_level, unproject,
+    _wavelet_hat,
+)
 
 __all__ = [
     "CHANNEL_SHIFTS",
@@ -37,8 +43,6 @@ __all__ = [
     "directional_ht_check",
     "quadrant_energy_fraction",
 ]
-
-_IMAG_TOL = 1e-12
 
 # channel n -> (x-shift index, y-shift index); 0 = tau, 1 = tau + 1/2
 CHANNEL_SHIFTS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -104,71 +108,16 @@ class Pyramid2D:
 
 
 def build_channel_table(p: SplineParams, shape: tuple[int, int], levels: int) -> ChannelTable:
-    """Instantiate the four separable channels (two distinct 1D designs/axis)."""
+    """Instantiate the four separable channels from each axis's dual-tree pair."""
     mx, my = shape
-    p2 = p.half_shifted()
-    xf = (design_channel(p, mx, levels), design_channel(p2, mx, levels))
-    yf = xf if my == mx else (design_channel(p, my, levels), design_channel(p2, my, levels))
+
+    def pair(n):
+        d = design_dual_tree(p, n, levels)
+        return d.channel_a, d.channel_b
+
+    xf = pair(mx)
+    yf = xf if my == mx else pair(my)
     return ChannelTable(p, (mx, my), levels, xf, yf)
-
-
-def _real2d(x: np.ndarray) -> np.ndarray:
-    resid = float(np.max(np.abs(x.imag)))
-    scale = max(1.0, float(np.max(np.abs(x.real))))
-    if resid > _IMAG_TOL * scale:
-        raise AssertionError(f"imaginary residue {resid:.3e} exceeds tolerance")
-    return np.ascontiguousarray(x.real)
-
-
-def _filter_axis(c: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
-    spec = np.fft.fft(c, axis=axis)
-    shape = [1, 1]
-    shape[axis] = values.size
-    return np.fft.ifft(spec * values.reshape(shape), axis=axis)
-
-
-def _analyze_axis(c: np.ndarray, h: ComplexResponse, g: ComplexResponse, axis: int):
-    """Filter + decimate along one axis by spectral folding."""
-    n = c.shape[axis]
-    if n != h.grid.n:
-        raise ValueError("array extent does not match filter grid")
-    spec = np.fft.fft(c, axis=axis)
-    lo, hi = np.split(spec, 2, axis=axis)
-
-    def branch(filt):
-        shape = [1, 1]
-        shape[axis] = n
-        f = filt.values.reshape(shape)
-        flo, fhi = np.split(f, 2, axis=axis)
-        folded = 0.5 * (lo * flo + hi * fhi)
-        return _real2d(np.fft.ifft(folded, axis=axis))
-
-    return branch(h), branch(g)
-
-
-def _synthesize_axis(cl: np.ndarray, ch: np.ndarray,
-                     h: ComplexResponse, g: ComplexResponse, axis: int) -> np.ndarray:
-    """Upsample + filter along one axis by spectral replication."""
-    n = h.grid.n
-    if cl.shape[axis] != n // 2 or ch.shape[axis] != n // 2:
-        raise ValueError("subband extent does not match filter grid")
-    reps = [1, 1]
-    reps[axis] = 2
-    ul = np.tile(np.fft.fft(cl, axis=axis), reps)
-    uh = np.tile(np.fft.fft(ch, axis=axis), reps)
-    shape = [1, 1]
-    shape[axis] = n
-    out = 2.0 * (np.conj(h.values).reshape(shape) * ul
-                 + np.conj(g.values).reshape(shape) * uh)
-    return _real2d(np.fft.ifft(out, axis=axis))
-
-
-def _project2d(img: np.ndarray, px: ComplexResponse, py: ComplexResponse,
-               inverse: bool = False) -> np.ndarray:
-    spec = np.fft.fft2(img)
-    sep = np.outer(px.values, py.values)
-    spec = spec / sep if inverse else spec * sep
-    return _real2d(np.fft.ifft2(spec))
 
 
 def mix_subbands(zeta, xi, m: MixingMatrices | None = None):
@@ -200,12 +149,11 @@ def dtcwt2d_forward(image: np.ndarray, table: ChannelTable) -> Pyramid2D:
     bands = [[] for _ in range(4)]  # per channel, per level: dict of HL/LH/HH
     for n in range(4):
         chx, chy = table.channel(n)
-        c = _project2d(img, chx.prefilter, chy.prefilter)
-        for i in range(table.levels):
-            lfx, lfy = chx.levels[i], chy.levels[i]
-            lx, hx = _analyze_axis(c, lfx.h_tilde, lfx.g_tilde, axis=0)
-            ll, lh = _analyze_axis(lx, lfy.h_tilde, lfy.g_tilde, axis=1)
-            hl, hh = _analyze_axis(hx, lfy.h_tilde, lfy.g_tilde, axis=1)
+        c = project(img, chx.prefilter, chy.prefilter, axes=(0, 1))
+        for lfx, lfy in zip(chx.levels, chy.levels):
+            lx, hx = analyze_level(c, lfx.h_tilde, lfx.g_tilde, axis=0)
+            ll, lh = analyze_level(lx, lfy.h_tilde, lfy.g_tilde, axis=1)
+            hl, hh = analyze_level(hx, lfy.h_tilde, lfy.g_tilde, axis=1)
             bands[n].append({"HL": hl, "LH": lh, "HH": hh})
             c = ll
         lows.append(c)
@@ -235,10 +183,10 @@ def dtcwt2d_inverse(p: Pyramid2D, table: ChannelTable) -> np.ndarray:
         for i in reversed(range(table.levels)):
             lfx, lfy = chx.levels[i], chy.levels[i]
             b = bands[n][i]
-            lx = _synthesize_axis(c, b["LH"], lfy.h, lfy.g, axis=1)
-            hx = _synthesize_axis(b["HL"], b["HH"], lfy.h, lfy.g, axis=1)
-            c = _synthesize_axis(lx, hx, lfx.h, lfx.g, axis=0)
-        acc += _project2d(c, chx.prefilter, chy.prefilter, inverse=True)
+            lx = synthesize_level(c, b["LH"], lfy.h, lfy.g, axis=1)
+            hx = synthesize_level(b["HL"], b["HH"], lfy.h, lfy.g, axis=1)
+            c = synthesize_level(lx, hx, lfx.h, lfx.g, axis=0)
+        acc += unproject(c, chx.prefilter, chy.prefilter, axes=(0, 1))
     return acc / 4.0
 
 

@@ -7,9 +7,7 @@ from gaborwt.filter_design import (
     design_channel,
     design_dual_tree,
     ht_pair_channel,
-    load_design,
     prefilter_response,
-    save_design,
     verify_pr,
 )
 from gaborwt.spline_core import SplineParams, autocorr_ft, bspline_ft, fd_ft
@@ -161,29 +159,7 @@ class TestBiorthogonalityInvariants:
         assert d.signal_len == 128 and d.levels == 2
         assert d.channel_b.params.tau == 0.5
 
+    def test_dual_tree_cached(self):
+        a = design_dual_tree(SplineParams(3.0, 0.0), 128, 2)
+        assert design_dual_tree(SplineParams(3.0, 0.0), 128, 2) is a
 
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        d = design_dual_tree(SplineParams(3.0, 0.25), 64, 2)
-        save_design(d, tmp_path / "bank")
-        d2 = load_design(tmp_path / "bank")
-        assert d2.signal_len == 64 and d2.levels == 2
-        assert d2.channel_a.params == d.channel_a.params
-        for cha, chb in ((d.channel_a, d2.channel_a), (d.channel_b, d2.channel_b)):
-            for lf1, lf2 in zip(cha.levels, chb.levels):
-                for name in ("h_tilde", "g_tilde", "h", "g"):
-                    dev = np.max(np.abs(getattr(lf1, name).values
-                                        - getattr(lf2, name).values))
-                    assert dev <= 1e-6  # complex64 storage precision
-
-    def test_deterministic_bytes(self, tmp_path):
-        d = design_dual_tree(SplineParams(2.0, 0.0), 64, 1)
-        a = save_design(d, tmp_path / "a")
-        b = save_design(d, tmp_path / "b")
-        for f in sorted(p.name for p in a.iterdir()):
-            assert (a / f).read_bytes() == (b / f).read_bytes()
-
-    def test_rejects_wrong_kind(self, tmp_path):
-        (tmp_path / "manifest.json").write_text('{"kind": "other"}')
-        with pytest.raises(ValueError):
-            load_design(tmp_path)

@@ -119,14 +119,6 @@ class TestPyramidCodec:
 
 
 class TestCli:
-    def test_design_bundle_layout(self, tmp_path):
-        out = tmp_path / "bank"
-        assert main(["design", "--alpha", "3", "--tau", "0", "--length", "256",
-                     "--levels", "3", "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        # 3 levels x 2 channels x 4 filters + 2 pre-filters
-        assert len(manifest["responses"]) == 26
-
     def test_xform1d_round_trip(self, tmp_path):
         sig = RNG.standard_normal(128)
         write_signal(tmp_path / "in.csv", sig, "csv")
@@ -168,7 +160,9 @@ class TestCli:
         assert len(lines) == 3
 
     def test_invalid_alpha_exits_2(self, tmp_path):
-        assert main(["design", "--alpha", "-1", "--tau", "0", "--length", "64",
+        write_signal(tmp_path / "in.csv", np.zeros(64), "csv")
+        assert main(["xform1d", "--alpha", "-1", "--tau", "0",
+                     "--in", str(tmp_path / "in.csv"),
                      "--out", str(tmp_path / "bad")]) == 2
 
     def test_non_power_of_two_input_exits_2(self, tmp_path):
@@ -179,13 +173,16 @@ class TestCli:
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
-            main(["design"])  # missing required flags
+            main(["xform1d"])  # missing required flags
         assert exc.value.code == 2
 
-    def test_design_deterministic(self, tmp_path):
-        args = ["design", "--alpha", "2", "--tau", "0", "--length", "64",
-                "--levels", "1"]
-        main(args + ["--out", str(tmp_path / "a")])
-        main(args + ["--out", str(tmp_path / "b")])
-        for f in sorted(p.name for p in (tmp_path / "a").iterdir()):
-            assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
+    @pytest.mark.parametrize("exc,code", [(AssertionError, 3), (ValueError, 2)])
+    def test_internal_error_exit_code(self, tmp_path, monkeypatch, exc, code):
+        def fail(*args):
+            raise exc("injected")
+
+        monkeypatch.setattr("gaborwt.cli.dtcwt1d_forward", fail)
+        write_signal(tmp_path / "in.csv", np.zeros(64), "csv")
+        assert main(["xform1d", "--alpha", "3", "--tau", "0", "--levels", "2",
+                     "--in", str(tmp_path / "in.csv"),
+                     "--out", str(tmp_path / "pyr")]) == code

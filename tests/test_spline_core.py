@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaborwt.spline_core import (
@@ -194,6 +194,8 @@ class TestAutocorrFT:
         assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
 
     @given(st.floats(0.0, 8.0), st.floats(-20.0, 20.0))
+    @example(0.0, -1.192092896e-07)
+    @example(0.0, 5e-324)
     @settings(max_examples=50, deadline=None)
     def test_positive_and_bounded(self, alpha, w):
         a = autocorr_ft(alpha, w)
