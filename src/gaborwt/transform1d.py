@@ -2,14 +2,16 @@
 
 All filtering is circular and runs in the frequency domain: analysis is
 multiply-then-fold (decimation as spectral aliasing), synthesis is
-tile-then-multiply (upsampling as spectral replication).  The two
+replicate-then-multiply (upsampling as spectral replication).  The two
 channels of a :class:`~gaborwt.filter_design.DualTreeDesign` are run in
 lock-step and their highpass outputs combined into complex subbands
 w_i = cH_i + j c'H_i, giving a 2x-redundant analytic decomposition with
 an exact left inverse.
 
-The projection and the one-level kernels act along any axis of an
-array; the 2D transform applies the same kernels along each image axis.
+The spectral helpers :func:`fold` and :func:`unfold` act along any axis
+of an array of spectra.  The one-level kernels wrap them in a DFT pair
+along that axis; the 2D transform calls them directly and stays in the
+frequency domain between levels.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ __all__ = [
     "Pyramid1D",
     "project",
     "unproject",
+    "fold",
+    "unfold",
     "analyze_level",
     "synthesize_level",
     "dtcwt1d_forward",
@@ -84,10 +88,15 @@ class Pyramid1D:
 
 
 def _real_part(x: np.ndarray) -> np.ndarray:
-    resid = float(np.max(np.abs(x.imag))) if x.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(x.real)))) if x.size else 1.0
-    if resid > _IMAG_TOL * scale:
-        raise AssertionError(f"imaginary residue {resid:.3e} exceeds tolerance")
+    """Real part of a kernel output, after checking its imaginary residue.
+
+    The tolerance is relative to max(1, max|real|), so max|real| is only
+    needed once the residue exceeds the absolute tolerance.
+    """
+    if x.size:
+        resid = float(np.max(np.abs(x.imag)))
+        if resid > _IMAG_TOL and resid > _IMAG_TOL * max(1.0, float(np.max(np.abs(x.real)))):
+            raise AssertionError(f"imaginary residue {resid:.3e} exceeds tolerance")
     return np.ascontiguousarray(x.real)
 
 
@@ -131,50 +140,73 @@ def unproject(c: np.ndarray, *pre: ComplexResponse, axes=(-1,)) -> np.ndarray:
     return _real_part(_fft(_fft(c, axes) / sep, axes, inverse=True))
 
 
+def fold(spec: np.ndarray, values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Filter a spectrum by ``values`` and decimate it by 2 along ``axis``.
+
+    Decimation is the spectral fold Y(k) = (X_F(k) + X_F(k + n/2)) / 2 of
+    the filtered spectrum X_F = X v, computed as 0.5 (X_lo v_lo + X_hi v_hi)
+    from the two half-spectra, without forming X_F.  The other axes of
+    ``spec`` may hold a spectrum or samples.
+    """
+    ax = axis % spec.ndim
+    half = spec.shape[ax] // 2
+    v = values.reshape((-1,) + (1,) * (spec.ndim - 1 - ax))
+    lo = (slice(None),) * ax + (slice(None, half),)
+    hi = (slice(None),) * ax + (slice(half, None),)
+    out = spec[lo] * v[:half]
+    out += spec[hi] * v[half:]
+    out *= 0.5
+    return out
+
+
+def unfold(spec: np.ndarray, values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Upsample a spectrum by 2 along ``axis`` and filter it by ``conj(values)``.
+
+    Upsampling replicates the half-length spectrum over the full grid;
+    both copies are written in one broadcast product into the two halves
+    of the output.
+    """
+    ax = axis % spec.ndim
+    shape, half = spec.shape, spec.shape[ax]
+    out = np.empty(shape[:ax] + (2 * half,) + shape[ax + 1:], dtype=np.complex128)
+    np.multiply(spec.reshape(shape[:ax] + (1,) + shape[ax:]),
+                values.conj().reshape((2, half) + (1,) * (spec.ndim - 1 - ax)),
+                out=out.reshape(shape[:ax] + (2, half) + shape[ax + 1:]))
+    return out
+
+
 def analyze_level(c: np.ndarray, h_tilde: ComplexResponse, g_tilde: ComplexResponse,
                   axis: int = -1):
     """One analysis step along ``axis``: filter and decimate both branches.
 
-    Decimation is the spectral fold Y(k) = (X_F(k) + X_F(k + n/2)) / 2
-    computed once per branch, followed by a half-length inverse DFT.
-    The spectrum is taken with ``axis`` swapped last (a view), so the 1D
-    responses broadcast as they are; each branch folds the two
-    half-spectra without forming the full filtered spectrum.
+    One DFT of ``c``, a :func:`fold` per branch, and a half-length
+    inverse DFT per branch.
     """
     n = c.shape[axis]
     if n != h_tilde.grid.n or n != g_tilde.grid.n:
         raise ValueError("coefficient length does not match filter grid")
-    half = n // 2
-    spec = np.fft.fft(c.swapaxes(axis, -1))
-    lo, hi = spec[..., :half], spec[..., half:]
-
-    def branch(filt):
-        folded = lo * filt.values[:half]
-        folded += hi * filt.values[half:]
-        folded *= 0.5
-        return _real_part(np.fft.ifft(folded).swapaxes(axis, -1))
-
-    return branch(h_tilde), branch(g_tilde)
+    spec = np.fft.fft(c, axis=axis)
+    return tuple(_real_part(np.fft.ifft(fold(spec, filt.values, axis), axis=axis))
+                 for filt in (h_tilde, g_tilde))
 
 
 def synthesize_level(cl: np.ndarray, ch: np.ndarray,
                      h: ComplexResponse, g: ComplexResponse, axis: int = -1) -> np.ndarray:
     """One synthesis step along ``axis``: upsample, filter and merge both branches.
 
-    Upsampling replicates the half-length spectra over the full grid;
-    the decimation's 1/2 is compensated here by the factor 2.
+    Each branch is one DFT and an :func:`unfold`; the sum goes through
+    one full-length inverse DFT.  The decimation's 1/2 is compensated
+    here by the factor 2.
     """
     n = h.grid.n
     if cl.shape[axis] != n // 2 or ch.shape[axis] != n // 2:
         raise ValueError("subband length does not match filter grid")
     if n != g.grid.n:
         raise ValueError("synthesis filters on mismatched grids")
-    ul = np.fft.fft(cl.swapaxes(axis, -1))
-    uh = np.fft.fft(ch.swapaxes(axis, -1))
-    out = np.conj(h.values) * np.concatenate((ul, ul), axis=-1)
-    out += np.conj(g.values) * np.concatenate((uh, uh), axis=-1)
+    out = unfold(np.fft.fft(cl, axis=axis), h.values, axis)
+    out += unfold(np.fft.fft(ch, axis=axis), g.values, axis)
     out *= 2.0
-    return _real_part(np.fft.ifft(out).swapaxes(axis, -1))
+    return _real_part(np.fft.ifft(out, axis=axis))
 
 
 def _analyze_channel(c0: np.ndarray, ch: ChannelFilters):

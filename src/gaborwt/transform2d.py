@@ -6,10 +6,18 @@ Their 12 highpass subbands per level are permuted into two 6-vectors
 (zeta, xi) and mixed by the orthonormal block matrices Lambda_R and
 Lambda_I into six complex subbands, each oriented along one of the
 angles 0, 0, 90, 90, 45, 135 degrees.  The transform is 4x redundant
-and exactly invertible.  Each channel is the tensor product of two 1D
-decompositions: one level runs transform1d's kernels along axis 0 and
-then along axis 1, and the projection applies both axes' pre-filters
-with one 2D FFT pair.
+and exactly invertible.
+
+Each channel is the tensor product of two 1D decompositions, run on
+spectra with transform1d's :func:`~gaborwt.transform1d.fold` and
+:func:`~gaborwt.transform1d.unfold`: one level folds along x and then
+along y, and each level's LL spectrum feeds the next level directly.
+The analysis takes one DFT of the image for all four channels; the
+projection pre-filters ride on the level-1 filters, and the level-1
+x-folds are shared by the two channels with the same x-shift.  Only the
+subbands and the residues are transformed back to samples.  Synthesis
+mirrors this: one DFT per stored band, 1/P in the level-1 filters, and
+one inverse DFT of the summed spectrum of all channels.
 
 Axis convention: images are indexed [x, y] (axis 0 is x, axis 1 is y).
 HL denotes high-x/low-y, LH low-x/high-y.
@@ -23,10 +31,7 @@ import numpy as np
 
 from .filter_design import ChannelFilters, design_dual_tree
 from .spline_core import SplineParams, bspline_ft
-from .transform1d import (
-    analyze_level, project, render_scaling, render_wavelet, synthesize_level, unproject,
-    _wavelet_hat,
-)
+from .transform1d import fold, render_scaling, render_wavelet, unfold, _real_part, _wavelet_hat
 
 __all__ = [
     "CHANNEL_SHIFTS",
@@ -140,23 +145,62 @@ def unmix_subbands(w, m: MixingMatrices | None = None):
     return tuple(zeta), tuple(xi)
 
 
+def _analysis_filters(ch: ChannelFilters):
+    """Per-level (h~, g~) values of one axis, the pre-filter folded into level 1."""
+    pre = ch.prefilter.values
+    return [(pre * lf.h_tilde.values, pre * lf.g_tilde.values) if i == 0
+            else (lf.h_tilde.values, lf.g_tilde.values) for i, lf in enumerate(ch.levels)]
+
+
+def _synthesis_filters(ch: ChannelFilters):
+    """Per-level values v with conj(v) = 2 conj(h), 2 conj(g); 1/P folded into level 1.
+
+    The factor 2 compensates the decimation's 1/2 on this axis.
+    """
+    inv = 2.0 / np.conj(ch.prefilter.values)
+    return [(inv * lf.h.values, inv * lf.g.values) if i == 0
+            else (2.0 * lf.h.values, 2.0 * lf.g.values) for i, lf in enumerate(ch.levels)]
+
+
+def _samples(spec: np.ndarray) -> np.ndarray:
+    return _real_part(np.fft.ifft2(spec))
+
+
+def _check_finite(arrays, what: str) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError(f"{what} contains non-finite values")
+
+
+def _channel_analysis(lx: np.ndarray, hx: np.ndarray, fx: list, fy: list):
+    """Per-level subbands and the residue of one channel, from its level-1 x-folds."""
+    bands = []
+    for i, (ht, gt) in enumerate(fy):
+        if i:
+            lx, hx = fold(c, fx[i][0], axis=0), fold(c, fx[i][1], axis=0)
+        c = fold(lx, ht, axis=1)
+        bands.append({"HL": _samples(fold(hx, ht, axis=1)),
+                      "LH": _samples(fold(lx, gt, axis=1)),
+                      "HH": _samples(fold(hx, gt, axis=1))})
+    return bands, _samples(c)
+
+
 def dtcwt2d_forward(image: np.ndarray, table: ChannelTable) -> Pyramid2D:
     """Frame operator: image -> (c_J(1..4), w_1..w_J)."""
     img = np.asarray(image, dtype=np.float64)
     if img.shape != table.shape:
         raise ValueError(f"image shape {img.shape} does not match table {table.shape}")
-    lows = []
-    bands = [[] for _ in range(4)]  # per channel, per level: dict of HL/LH/HH
-    for n in range(4):
-        chx, chy = table.channel(n)
-        c = project(img, chx.prefilter, chy.prefilter, axes=(0, 1))
-        for lfx, lfy in zip(chx.levels, chy.levels):
-            lx, hx = analyze_level(c, lfx.h_tilde, lfx.g_tilde, axis=0)
-            ll, lh = analyze_level(lx, lfy.h_tilde, lfy.g_tilde, axis=1)
-            hl, hh = analyze_level(hx, lfy.h_tilde, lfy.g_tilde, axis=1)
-            bands[n].append({"HL": hl, "LH": lh, "HH": hh})
-            c = ll
-        lows.append(c)
+    _check_finite((img,), "image")
+    spec = np.fft.fft2(img)
+    fy = [_analysis_filters(chy) for chy in table.y_filters]
+    lows = [None] * 4
+    bands = [None] * 4  # per channel, per level: dict of HL/LH/HH
+    for ix, chx in enumerate(table.x_filters):
+        fx = _analysis_filters(chx)
+        # level-1 x-folds, shared by the two channels of this x-shift
+        lx, hx = fold(spec, fx[0][0], axis=0), fold(spec, fx[0][1], axis=0)
+        for iy in (0, 1):
+            n = CHANNEL_SHIFTS.index((ix, iy))
+            bands[n], lows[n] = _channel_analysis(lx, hx, fx, fy[iy])
     w_levels = []
     for i in range(table.levels):
         zeta = tuple(bands[ch][i][band] for band, ch in _ZETA_SLOTS)
@@ -165,10 +209,34 @@ def dtcwt2d_forward(image: np.ndarray, table: ChannelTable) -> Pyramid2D:
     return Pyramid2D(tuple(lows), tuple(w_levels))
 
 
+def _y_synthesis(c: np.ndarray, b: dict, h: np.ndarray, g: np.ndarray):
+    """Low-x and high-x spectra of one level from its LL spectrum and bands."""
+    lx = unfold(c, h, axis=1)
+    lx += unfold(np.fft.fft2(b["LH"]), g, axis=1)
+    hx = unfold(np.fft.fft2(b["HL"]), h, axis=1)
+    hx += unfold(np.fft.fft2(b["HH"]), g, axis=1)
+    return lx, hx
+
+
+def _x_synthesis(lx: np.ndarray, hx: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    c = unfold(lx, h, axis=0)
+    c += unfold(hx, g, axis=0)
+    return c
+
+
+def _channel_synthesis(low: np.ndarray, bands: list, fx: list, fy: list):
+    """Level-1 low-x and high-x spectra of one channel, before its last x-step."""
+    c = np.fft.fft2(low)
+    for i in reversed(range(1, len(bands))):
+        c = _x_synthesis(*_y_synthesis(c, bands[i], *fy[i]), *fx[i])
+    return _y_synthesis(c, bands[0], *fy[0])
+
+
 def dtcwt2d_inverse(p: Pyramid2D, table: ChannelTable) -> np.ndarray:
     """Exact inverse: unmix, unpermute, per-channel synthesis, average."""
     if p.levels != table.levels or p.shape != table.shape:
         raise ValueError("pyramid shape does not match table")
+    _check_finite((*p.lowpass, *(wk for lvl in p.w for wk in lvl)), "pyramid")
     bands = [[{} for _ in range(table.levels)] for _ in range(4)]
     for i in range(table.levels):
         zeta, xi = unmix_subbands(p.w[i])
@@ -176,18 +244,22 @@ def dtcwt2d_inverse(p: Pyramid2D, table: ChannelTable) -> np.ndarray:
             bands[ch][i][band] = zeta[slot]
         for slot, (band, ch) in enumerate(_XI_SLOTS):
             bands[ch][i][band] = xi[slot]
-    acc = np.zeros(table.shape)
-    for n in range(4):
-        chx, chy = table.channel(n)
-        c = p.lowpass[n]
-        for i in reversed(range(table.levels)):
-            lfx, lfy = chx.levels[i], chy.levels[i]
-            b = bands[n][i]
-            lx = synthesize_level(c, b["LH"], lfy.h, lfy.g, axis=1)
-            hx = synthesize_level(b["HL"], b["HH"], lfy.h, lfy.g, axis=1)
-            c = synthesize_level(lx, hx, lfx.h, lfx.g, axis=0)
-        acc += unproject(c, chx.prefilter, chy.prefilter, axes=(0, 1))
-    return acc / 4.0
+    fy = [_synthesis_filters(chy) for chy in table.y_filters]
+
+    def x_group(ix):
+        fx = _synthesis_filters(table.x_filters[ix])
+        n0, n1 = (CHANNEL_SHIFTS.index((ix, iy)) for iy in (0, 1))
+        lx, hx = _channel_synthesis(p.lowpass[n0], bands[n0], fx, fy[0])
+        lx1, hx1 = _channel_synthesis(p.lowpass[n1], bands[n1], fx, fy[1])
+        lx += lx1
+        hx += hx1
+        return _x_synthesis(lx, hx, *fx[0])
+
+    spec = x_group(0)
+    spec += x_group(1)
+    out = _samples(spec)
+    out /= 4.0
+    return out
 
 
 # ---------------------------------------------------------------------------

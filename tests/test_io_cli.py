@@ -171,6 +171,16 @@ class TestCli:
                      "--in", str(tmp_path / "odd.csv"),
                      "--out", str(tmp_path / "pyr")]) == 2
 
+    def test_non_finite_image_exits_2(self, tmp_path, capsys):
+        img = RNG.standard_normal((32, 32))
+        img[3, 5] = np.nan
+        write_image(tmp_path / "nan.f8", img, "raw")
+        assert main(["xform2d", "--alpha", "3", "--tau", "0", "--levels", "1",
+                     "--in", str(tmp_path / "nan.f8"),
+                     "--out", str(tmp_path / "pyr")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "pyr").exists()
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["xform1d"])  # missing required flags

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gaborwt.spline_core import SplineParams
+from gaborwt.transform1d import analyze_level, project
 from gaborwt.transform2d import (
     CHANNEL_SHIFTS,
     ORIENTATIONS,
@@ -144,6 +145,96 @@ class TestFullTransform2D:
         table = build_channel_table(P3, (64, 64), 1)
         with pytest.raises(ValueError):
             dtcwt2d_forward(np.zeros((32, 32)), table)
+
+
+    def test_non_finite_image_rejected(self):
+        table = build_channel_table(P3, (64, 64), 1)
+        for bad in (np.nan, np.inf, -np.inf):
+            img = RNG.standard_normal((64, 64))
+            img[7, 9] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                dtcwt2d_forward(img, table)
+
+    @pytest.mark.parametrize("where", ["lowpass", "subband"])
+    def test_non_finite_pyramid_rejected(self, where):
+        table = build_channel_table(P3, (64, 64), 2)
+        pyr = dtcwt2d_forward(RNG.standard_normal((64, 64)), table)
+        if where == "lowpass":
+            pyr.lowpass[2][1, 1] = np.nan
+        else:
+            pyr.w[1][4][0, 3] = complex(0.0, np.inf)
+        with pytest.raises(ValueError, match="non-finite"):
+            dtcwt2d_inverse(pyr, table)
+
+
+def _separable_forward(img, table):
+    """The per-axis algorithm: project each channel with one 2D FFT pair,
+    then per level run the 1D analysis kernel along x and then along y."""
+    bands = []
+    lows = []
+    for n in range(4):
+        chx, chy = table.channel(n)
+        c = project(img, chx.prefilter, chy.prefilter, axes=(0, 1))
+        per_level = []
+        for lfx, lfy in zip(chx.levels, chy.levels):
+            lx, hx = analyze_level(c, lfx.h_tilde, lfx.g_tilde, axis=0)
+            c, lh = analyze_level(lx, lfy.h_tilde, lfy.g_tilde, axis=1)
+            hl, hh = analyze_level(hx, lfy.h_tilde, lfy.g_tilde, axis=1)
+            per_level.append({"HL": hl, "LH": lh, "HH": hh})
+        bands.append(per_level)
+        lows.append(c)
+    w = tuple(
+        mix_subbands(tuple(bands[ch][i][band] for band, ch in _ZETA_SLOTS),
+                     tuple(bands[ch][i][band] for band, ch in _XI_SLOTS))
+        for i in range(table.levels))
+    return lows, w
+
+
+class TestAgainstSeparableReference:
+    """The spectral 2D transform against the per-axis algorithm built from
+    transform1d's public kernels."""
+
+    @pytest.mark.parametrize("alpha,tau,shape,levels", [
+        (3.0, 0.0, (64, 64), 2),
+        (3.0, 2.5, (64, 256), 4),   # rectangular, maximum levels for 64
+        (2.0, 0.3, (128, 32), 3),   # maximum levels for 32
+        (6.0, -0.7, (32, 32), 3),
+    ])
+    def test_matches_reference(self, alpha, tau, shape, levels):
+        table = build_channel_table(SplineParams(alpha, tau), shape, levels)
+        img = RNG.standard_normal(shape)
+        pyr = dtcwt2d_forward(img, table)
+        lows, w = _separable_forward(img, table)
+        scale = max(np.max(np.abs(a)) for a in lows)
+        for got, want in zip(pyr.lowpass, lows):
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        scale = max(np.max(np.abs(wk)) for lvl in w for wk in lvl)
+        for lvl_got, lvl_want in zip(pyr.w, w):
+            for got, want in zip(lvl_got, lvl_want):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        rec = dtcwt2d_inverse(pyr, table)
+        assert np.max(np.abs(rec - img)) <= 1e-12
+
+
+class TestFFTCount:
+    @pytest.mark.parametrize("shape,levels", [((64, 64), 1), ((64, 128), 3), ((128, 128), 4)])
+    def test_round_trip_call_count(self, monkeypatch, shape, levels):
+        calls = []
+        for name in np.fft.__all__:
+            fn = getattr(np.fft, name)
+            if callable(fn) and "freq" not in name and "shift" not in name:
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    calls.append(_name)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(np.fft, name, counted)
+        table = build_channel_table(P3, shape, levels)
+        img = RNG.standard_normal(shape)
+        calls.clear()
+        rec = dtcwt2d_inverse(dtcwt2d_forward(img, table), table)
+        assert np.max(np.abs(rec - img)) <= 1e-12
+        # one image DFT; per channel three subbands per level and one residue
+        assert len(calls) == 2 * (1 + 4 * (3 * levels + 1))
 
 
 class TestOrientationSelectivity:
