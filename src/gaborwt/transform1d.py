@@ -11,11 +11,14 @@ an exact left inverse.
 The spectral helpers :func:`fold` and :func:`unfold` act along any axis
 of an array of spectra.  The one-level kernels wrap them in a DFT pair
 along that axis; the 2D transform calls them directly and stays in the
-frequency domain between levels.
+frequency domain between levels.  :func:`half_fold` and
+:func:`half_unfold` do the same on the half spectrum of real data (the
+rfft layout), which the 2D transform keeps along y.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,8 @@ __all__ = [
     "unproject",
     "fold",
     "unfold",
+    "half_fold",
+    "half_unfold",
     "analyze_level",
     "synthesize_level",
     "dtcwt1d_forward",
@@ -172,6 +177,81 @@ def unfold(spec: np.ndarray, values: np.ndarray, axis: int = -1) -> np.ndarray:
     np.multiply(spec.reshape(shape[:ax] + (1,) + shape[ax:]),
                 values.conj().reshape((2, half) + (1,) * (spec.ndim - 1 - ax)),
                 out=out.reshape(shape[:ax] + (2, half) + shape[ax + 1:]))
+    return out
+
+
+def _mirrors(ndim: int, freq_axes):
+    """Index pairs (dst, src) of basic slices that negate bins.
+
+    Along each axis of ``freq_axes`` src holds the bin -k mod m of dst's
+    bin k, in two pieces: bin 0 to itself, and bins 1.. to the reversed
+    bins m-1..1.  The other axes map to themselves.
+    """
+    per_axis = [((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+                if a in freq_axes else ((slice(None), slice(None)),) for a in range(ndim)]
+    for combo in itertools.product(*per_axis):
+        yield tuple(zip(*combo))
+
+
+def _half_axis(spec: np.ndarray, axis: int, freq_axes, bins: int):
+    ax = axis % spec.ndim
+    if spec.shape[ax] != bins:
+        raise ValueError(f"half spectrum needs {bins} bins along axis {axis}, "
+                         f"got {spec.shape[ax]}")
+    return ax, {a % spec.ndim for a in freq_axes}
+
+
+def half_fold(spec: np.ndarray, values: np.ndarray, axis: int = -1,
+              freq_axes=()) -> np.ndarray:
+    """:func:`fold` on the half spectrum of real data (the rfft layout).
+
+    ``spec`` holds bins 0..n/2 along ``axis`` of a full length-n
+    spectrum, and ``values`` the full length-n response.  The output
+    holds bins 0..n/4 of the folded spectrum,
+    Y(k) = 0.5 (X(k) v(k) + conj(X(-k', n/2 - k)) v(k + n/2)),
+    where -k' negates the bin along every other axis listed in
+    ``freq_axes``, which hold a spectrum; the rest hold samples.
+    """
+    n = values.size
+    ax, freq = _half_axis(spec, axis, freq_axes, n // 2 + 1)
+    q = n // 4
+    v = values.reshape((-1,) + (1,) * (spec.ndim - 1 - ax))
+    at = (slice(None),) * ax
+    out = spec[at + (slice(None, q + 1),)] * v[:q + 1]
+    # conj(X) v = conj(X conj(v)), so each product is conjugated in place
+    v_hi = v[n // 2:n // 2 + q + 1].conj()
+    for dst, src in _mirrors(spec.ndim, freq):
+        t = spec[src][at + (slice(n // 2, n // 2 - q - 1, -1),)] * v_hi
+        lo = out[dst]
+        np.add(lo, np.conjugate(t, out=t), out=lo)
+    out *= 0.5
+    return out
+
+
+def half_unfold(spec: np.ndarray, values: np.ndarray, axis: int = -1,
+                freq_axes=()) -> np.ndarray:
+    """:func:`unfold` on the half spectrum of real data (the rfft layout).
+
+    ``spec`` holds bins 0..n/4 along ``axis`` of a length-n/2 spectrum,
+    and ``values`` the full length-n response.  The output holds bins
+    0..n/2 of the upsampled and filtered spectrum: bins above n/4 come
+    from conj(Y(-k', n/2 - k)), and bin n/2 from Y(0); ``freq_axes`` is
+    as in :func:`half_fold`.
+    """
+    n = values.size
+    q, h = n // 4, n // 2
+    ax, freq = _half_axis(spec, axis, freq_axes, q + 1)
+    v = values.reshape((-1,) + (1,) * (spec.ndim - 1 - ax))
+    at = (slice(None),) * ax
+    out = np.empty(spec.shape[:ax] + (h + 1,) + spec.shape[ax + 1:], dtype=np.complex128)
+    np.multiply(spec[at + (slice(None, q + 1),)], v[:q + 1].conj(),
+                out=out[at + (slice(None, q + 1),)])
+    # conj(Y) conj(v) = conj(Y v)
+    for dst, src in _mirrors(spec.ndim, freq):
+        upper = out[dst][at + (slice(q + 1, h),)]
+        np.multiply(spec[src][at + (slice(q - 1, 0, -1),)], v[q + 1:h], out=upper)
+        np.conjugate(upper, out=upper)
+    np.multiply(spec[at + (slice(0, 1),)], v[h:h + 1].conj(), out=out[at + (slice(h, None),)])
     return out
 
 

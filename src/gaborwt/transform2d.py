@@ -9,15 +9,19 @@ angles 0, 0, 90, 90, 45, 135 degrees.  The transform is 4x redundant
 and exactly invertible.
 
 Each channel is the tensor product of two 1D decompositions, run on
-spectra with transform1d's :func:`~gaborwt.transform1d.fold` and
-:func:`~gaborwt.transform1d.unfold`: one level folds along x and then
-along y, and each level's LL spectrum feeds the next level directly.
-The analysis takes one DFT of the image for all four channels; the
+spectra with transform1d's spectral helpers: one level folds along x
+with :func:`~gaborwt.transform1d.fold` and then along y with
+:func:`~gaborwt.transform1d.half_fold`, and each level's LL spectrum
+feeds the next level directly.  All signals and channel subbands are
+real, so every spectrum is kept in the rfft2 layout, M x (N/2 + 1):
+axis 0 holds the full x-spectrum and axis 1 the y-bins 0..N/2.  The
+analysis takes one rfft2 of the image for all four channels; the
 projection pre-filters ride on the level-1 filters, and the level-1
 x-folds are shared by the two channels with the same x-shift.  Only the
-subbands and the residues are transformed back to samples.  Synthesis
-mirrors this: one DFT per stored band, 1/P in the level-1 filters, and
-one inverse DFT of the summed spectrum of all channels.
+subbands and the residues are transformed back to samples, by irfft2,
+after a check on the imaginary residue it drops.  Synthesis mirrors
+this: one rfft2 per stored band, 1/P in the level-1 filters, and one
+irfft2 of the summed spectrum of all channels.
 
 Axis convention: images are indexed [x, y] (axis 0 is x, axis 1 is y).
 HL denotes high-x/low-y, LH low-x/high-y.
@@ -31,7 +35,16 @@ import numpy as np
 
 from .filter_design import ChannelFilters, design_dual_tree
 from .spline_core import SplineParams, bspline_ft
-from .transform1d import fold, render_scaling, render_wavelet, unfold, _real_part, _wavelet_hat
+from .transform1d import (
+    _IMAG_TOL,
+    _wavelet_hat,
+    fold,
+    half_fold,
+    half_unfold,
+    render_scaling,
+    render_wavelet,
+    unfold,
+)
 
 __all__ = [
     "CHANNEL_SHIFTS",
@@ -125,31 +138,85 @@ def build_channel_table(p: SplineParams, shape: tuple[int, int], levels: int) ->
     return ChannelTable(p, (mx, my), levels, xf, yf)
 
 
+def _combine(out: np.ndarray, row: np.ndarray, bands) -> None:
+    """out = sum_l row[l] bands[l], written in place; zero coefficients skipped.
+
+    The sum is formed as c0 (b0 + sum_l (c_l / c0) b_l) from the first
+    nonzero coefficient c0, so a ratio of +-1 is a plain add or subtract
+    and c0 = 1 needs no multiply: the standard mixers take no temporary.
+    """
+    terms = [(c, b) for c, b in zip(row, bands) if c]
+    if not terms:
+        out[...] = 0.0
+        return
+    (c0, acc), rest = terms[0], terms[1:]
+    for c, b in rest:
+        r = c / c0
+        (np.add if r > 0 else np.subtract)(acc, b if abs(r) == 1.0 else abs(r) * b, out=out)
+        acc = out
+    if c0 != 1.0:
+        np.multiply(acc, c0, out=out)
+    elif acc is not out:
+        np.copyto(out, acc)
+
+
 def mix_subbands(zeta, xi, m: MixingMatrices | None = None):
-    """w = Lambda_R zeta + j Lambda_I xi, applied subband-wise."""
+    """w = Lambda_R zeta + j Lambda_I xi, applied subband-wise.
+
+    Each complex subband is allocated once, and its real and imaginary
+    parts are written in place.
+    """
     m = m or MixingMatrices.standard()
-    zr = [sum(m.lambda_r[k, l] * zeta[l] for l in range(6) if m.lambda_r[k, l])
-          for k in range(6)]
-    zi = [sum(m.lambda_i[k, l] * xi[l] for l in range(6) if m.lambda_i[k, l])
-          for k in range(6)]
-    return tuple(a + 1j * b for a, b in zip(zr, zi))
+    w = []
+    for k in range(6):
+        wk = np.empty(np.shape(zeta[0]), dtype=np.complex128)
+        _combine(wk.real, m.lambda_r[k], zeta)
+        _combine(wk.imag, m.lambda_i[k], xi)
+        w.append(wk)
+    return tuple(w)
 
 
 def unmix_subbands(w, m: MixingMatrices | None = None):
-    """Invert :func:`mix_subbands` via the transposed (orthonormal) mixers."""
+    """Invert :func:`mix_subbands` via the transposed (orthonormal) mixers.
+
+    A slot that is one subband's real or imaginary part unscaled, as on
+    the identity block of the standard mixers, is returned as a read-only
+    view of it; every other slot is allocated once.
+    """
     m = m or MixingMatrices.standard()
-    zeta = [sum(m.lambda_r[l, k] * w[l].real for l in range(6) if m.lambda_r[l, k])
-            for k in range(6)]
-    xi = [sum(m.lambda_i[l, k] * w[l].imag for l in range(6) if m.lambda_i[l, k])
-          for k in range(6)]
-    return tuple(zeta), tuple(xi)
+
+    def part(mat, src):
+        out = []
+        for k in range(6):
+            nz = np.flatnonzero(mat[:, k])
+            if nz.size == 1 and mat[nz[0], k] == 1.0:
+                band = src[nz[0]]
+                band.flags.writeable = False
+            else:
+                band = np.empty(np.shape(w[0]))
+                _combine(band, mat[:, k], src)
+            out.append(band)
+        return tuple(out)
+
+    return part(m.lambda_r, [wk.real for wk in w]), part(m.lambda_i, [wk.imag for wk in w])
+
+
+def _hermitian(v: np.ndarray) -> np.ndarray:
+    """Hermitian part 0.5 (v(k) + conj(v(-k))) of a response on a full DFT grid.
+
+    The half spectra keep one bin of each conjugate pair, so a filter's
+    anti-Hermitian rounding residue would enter them from one side only,
+    where a full spectrum cancels it in the real part of its inverse DFT.
+    Every filter is therefore applied as its Hermitian part.
+    """
+    return 0.5 * (v + np.concatenate((v[:1], v[:0:-1])).conj())
 
 
 def _analysis_filters(ch: ChannelFilters):
     """Per-level (h~, g~) values of one axis, the pre-filter folded into level 1."""
     pre = ch.prefilter.values
-    return [(pre * lf.h_tilde.values, pre * lf.g_tilde.values) if i == 0
-            else (lf.h_tilde.values, lf.g_tilde.values) for i, lf in enumerate(ch.levels)]
+    return [tuple(_hermitian(pre * r.values if i == 0 else r.values)
+                  for r in (lf.h_tilde, lf.g_tilde)) for i, lf in enumerate(ch.levels)]
 
 
 def _synthesis_filters(ch: ChannelFilters):
@@ -158,17 +225,58 @@ def _synthesis_filters(ch: ChannelFilters):
     The factor 2 compensates the decimation's 1/2 on this axis.
     """
     inv = 2.0 / np.conj(ch.prefilter.values)
-    return [(inv * lf.h.values, inv * lf.g.values) if i == 0
-            else (2.0 * lf.h.values, 2.0 * lf.g.values) for i, lf in enumerate(ch.levels)]
+    return [tuple(_hermitian((inv if i == 0 else 2.0) * r.values) for r in (lf.h, lf.g))
+            for i, lf in enumerate(ch.levels)]
 
 
-def _samples(spec: np.ndarray) -> np.ndarray:
-    return _real_part(np.fft.ifft2(spec))
+def _per_axis(table: ChannelTable, filters):
+    """``filters`` of the two x-channels and the two y-channels; a square
+    table shares its axis designs, and then the values too."""
+    fx = [filters(ch) for ch in table.x_filters]
+    fy = fx if table.y_filters is table.x_filters else [filters(ch) for ch in table.y_filters]
+    return fx, fy
+
+
+def _dropped_imag_bound(spec: np.ndarray, shape: tuple[int, int]) -> float:
+    """Bound on the imaginary residue that irfft2 drops from a half spectrum.
+
+    Only columns 0 and n/2 of the rfft2 layout can carry anti-Hermitian
+    content; irfft2 keeps their Hermitian part along x and discards the
+    rest.  The discarded samples are bounded by
+    sum over c in {0, n/2} of sum_kx |X[kx, c] - conj(X[-kx, c])| / (2 m n).
+    """
+    m, n = shape
+    total = 0.0
+    for c in (0, n // 2):
+        col = spec[:, c]
+        total += 2.0 * abs(col[0].imag) + float(np.sum(np.abs(col[1:] - np.conj(col[:0:-1]))))
+    return total / (2.0 * m * n)
+
+
+def _samples(spec: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Real samples of the given shape from a half spectrum (the rfft2 layout).
+
+    Raises AssertionError when the imaginary residue irfft2 drops may
+    exceed the tolerance, relative to max(1, max|out|) as in transform1d.
+    """
+    out = np.fft.irfft2(spec, s=shape)
+    bound = _dropped_imag_bound(spec, shape)
+    if bound > _IMAG_TOL and bound > _IMAG_TOL * max(1.0, float(np.max(np.abs(out)))):
+        raise AssertionError(f"dropped imaginary residue bound {bound:.3e} exceeds tolerance")
+    return out
 
 
 def _check_finite(arrays, what: str) -> None:
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ValueError(f"{what} contains non-finite values")
+
+
+def _y_fold(spec: np.ndarray, values: np.ndarray) -> np.ndarray:
+    return half_fold(spec, values, axis=1, freq_axes=(0,))
+
+
+def _y_unfold(spec: np.ndarray, values: np.ndarray) -> np.ndarray:
+    return half_unfold(spec, values, axis=1, freq_axes=(0,))
 
 
 def _channel_analysis(lx: np.ndarray, hx: np.ndarray, fx: list, fy: list):
@@ -177,11 +285,12 @@ def _channel_analysis(lx: np.ndarray, hx: np.ndarray, fx: list, fy: list):
     for i, (ht, gt) in enumerate(fy):
         if i:
             lx, hx = fold(c, fx[i][0], axis=0), fold(c, fx[i][1], axis=0)
-        c = fold(lx, ht, axis=1)
-        bands.append({"HL": _samples(fold(hx, ht, axis=1)),
-                      "LH": _samples(fold(lx, gt, axis=1)),
-                      "HH": _samples(fold(hx, gt, axis=1))})
-    return bands, _samples(c)
+        shape = (lx.shape[0], ht.size // 2)
+        c = _y_fold(lx, ht)
+        bands.append({"HL": _samples(_y_fold(hx, ht), shape),
+                      "LH": _samples(_y_fold(lx, gt), shape),
+                      "HH": _samples(_y_fold(hx, gt), shape)})
+    return bands, _samples(c, shape)
 
 
 def dtcwt2d_forward(image: np.ndarray, table: ChannelTable) -> Pyramid2D:
@@ -190,31 +299,36 @@ def dtcwt2d_forward(image: np.ndarray, table: ChannelTable) -> Pyramid2D:
     if img.shape != table.shape:
         raise ValueError(f"image shape {img.shape} does not match table {table.shape}")
     _check_finite((img,), "image")
-    spec = np.fft.fft2(img)
-    fy = [_analysis_filters(chy) for chy in table.y_filters]
+    spec = np.fft.rfft2(img)
+    fx, fy = _per_axis(table, _analysis_filters)
     lows = [None] * 4
     bands = [None] * 4  # per channel, per level: dict of HL/LH/HH
-    for ix, chx in enumerate(table.x_filters):
-        fx = _analysis_filters(chx)
+    for ix in (0, 1):
         # level-1 x-folds, shared by the two channels of this x-shift
-        lx, hx = fold(spec, fx[0][0], axis=0), fold(spec, fx[0][1], axis=0)
+        lx, hx = fold(spec, fx[ix][0][0], axis=0), fold(spec, fx[ix][0][1], axis=0)
+        if ix:  # the last x-folds exist: the image spectrum is done
+            del spec
         for iy in (0, 1):
             n = CHANNEL_SHIFTS.index((ix, iy))
-            bands[n], lows[n] = _channel_analysis(lx, hx, fx, fy[iy])
+            bands[n], lows[n] = _channel_analysis(lx, hx, fx[ix], fy[iy])
+        del lx, hx
     w_levels = []
     for i in range(table.levels):
-        zeta = tuple(bands[ch][i][band] for band, ch in _ZETA_SLOTS)
-        xi = tuple(bands[ch][i][band] for band, ch in _XI_SLOTS)
+        level = [b[i] for b in bands]
+        for b in bands:  # each level's bands are released once mixed
+            b[i] = None
+        zeta = tuple(level[ch][band] for band, ch in _ZETA_SLOTS)
+        xi = tuple(level[ch][band] for band, ch in _XI_SLOTS)
         w_levels.append(mix_subbands(zeta, xi))
     return Pyramid2D(tuple(lows), tuple(w_levels))
 
 
 def _y_synthesis(c: np.ndarray, b: dict, h: np.ndarray, g: np.ndarray):
     """Low-x and high-x spectra of one level from its LL spectrum and bands."""
-    lx = unfold(c, h, axis=1)
-    lx += unfold(np.fft.fft2(b["LH"]), g, axis=1)
-    hx = unfold(np.fft.fft2(b["HL"]), h, axis=1)
-    hx += unfold(np.fft.fft2(b["HH"]), g, axis=1)
+    lx = _y_unfold(c, h)
+    lx += _y_unfold(np.fft.rfft2(b["LH"]), g)
+    hx = _y_unfold(np.fft.rfft2(b["HL"]), h)
+    hx += _y_unfold(np.fft.rfft2(b["HH"]), g)
     return lx, hx
 
 
@@ -226,7 +340,7 @@ def _x_synthesis(lx: np.ndarray, hx: np.ndarray, h: np.ndarray, g: np.ndarray) -
 
 def _channel_synthesis(low: np.ndarray, bands: list, fx: list, fy: list):
     """Level-1 low-x and high-x spectra of one channel, before its last x-step."""
-    c = np.fft.fft2(low)
+    c = np.fft.rfft2(low)
     for i in reversed(range(1, len(bands))):
         c = _x_synthesis(*_y_synthesis(c, bands[i], *fy[i]), *fx[i])
     return _y_synthesis(c, bands[0], *fy[0])
@@ -244,10 +358,10 @@ def dtcwt2d_inverse(p: Pyramid2D, table: ChannelTable) -> np.ndarray:
             bands[ch][i][band] = zeta[slot]
         for slot, (band, ch) in enumerate(_XI_SLOTS):
             bands[ch][i][band] = xi[slot]
-    fy = [_synthesis_filters(chy) for chy in table.y_filters]
+    fxs, fy = _per_axis(table, _synthesis_filters)
 
     def x_group(ix):
-        fx = _synthesis_filters(table.x_filters[ix])
+        fx = fxs[ix]
         n0, n1 = (CHANNEL_SHIFTS.index((ix, iy)) for iy in (0, 1))
         lx, hx = _channel_synthesis(p.lowpass[n0], bands[n0], fx, fy[0])
         lx1, hx1 = _channel_synthesis(p.lowpass[n1], bands[n1], fx, fy[1])
@@ -257,7 +371,7 @@ def dtcwt2d_inverse(p: Pyramid2D, table: ChannelTable) -> np.ndarray:
 
     spec = x_group(0)
     spec += x_group(1)
-    out = _samples(spec)
+    out = _samples(spec, table.shape)
     out /= 4.0
     return out
 

@@ -196,3 +196,12 @@ class TestCli:
         assert main(["xform1d", "--alpha", "3", "--tau", "0", "--levels", "2",
                      "--in", str(tmp_path / "in.csv"),
                      "--out", str(tmp_path / "pyr")]) == code
+
+    def test_xform2d_residue_check_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a residue bound above any tolerance makes the 2D sample check raise
+        monkeypatch.setattr("gaborwt.transform2d._dropped_imag_bound", lambda spec, shape: 1.0)
+        write_image(tmp_path / "img.f8", RNG.standard_normal((32, 32)), "raw")
+        assert main(["xform2d", "--alpha", "3", "--tau", "0", "--levels", "1",
+                     "--in", str(tmp_path / "img.f8"),
+                     "--out", str(tmp_path / "pyr")]) == 3
+        assert "internal error" in capsys.readouterr().err

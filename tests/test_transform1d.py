@@ -9,10 +9,14 @@ from gaborwt.transform1d import (
     analyze_level,
     dtcwt1d_forward,
     dtcwt1d_inverse,
+    fold,
+    half_fold,
+    half_unfold,
     project,
     render_scaling,
     render_wavelet,
     synthesize_level,
+    unfold,
     unproject,
     _dense_grid,
     _wavelet_hat,
@@ -120,6 +124,61 @@ class TestAxis:
         pre = _design(n=64, levels=1).channel_a.prefilter
         with pytest.raises(ValueError):
             project(np.zeros((64, 64)), pre, axes=(0, 1))
+
+
+def _kept(x, axis, bins):
+    return np.take(x, np.arange(bins), axis=axis)
+
+
+class TestHalfSpectrum:
+    """half_fold/half_unfold against fold/unfold on the bins the rfft layout
+    keeps.  The identities hold for any response, so a random complex one
+    is used.  A generator of its own keeps the module's draws unchanged."""
+
+    rng = np.random.default_rng(7)
+
+    CASES = [
+        ((16, 32), 1, ()),       # axis 0 in samples: no flip
+        ((16, 32), 1, (0,)),     # axis 0 in frequency: -kx flip
+        ((5, 64), 1, (0,)),      # rectangular, odd length of the flipped axis
+        ((64, 16), 1, ()),
+        ((12, 8), 1, (0,)),      # smallest level grid
+        ((12, 8), 1, ()),
+        ((32, 6), 0, (1,)),      # transform axis 0, axis 1 in frequency
+        ((8,), -1, ()),
+    ]
+
+    def _spectrum(self, shape, axis, freq_axes):
+        x = self.rng.standard_normal(shape)
+        return np.fft.fftn(x, axes=tuple(freq_axes) + (axis % len(shape),))
+
+    @pytest.mark.parametrize("shape,axis,freq_axes", CASES)
+    def test_fold_matches_full(self, shape, axis, freq_axes):
+        n = shape[axis]
+        spec = self._spectrum(shape, axis, freq_axes)
+        v = self.rng.standard_normal(n) + 1j * self.rng.standard_normal(n)
+        want = _kept(fold(spec, v, axis), axis, n // 4 + 1)
+        got = half_fold(_kept(spec, axis, n // 2 + 1), v, axis, freq_axes)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape,axis,freq_axes", CASES)
+    def test_unfold_matches_full(self, shape, axis, freq_axes):
+        n = shape[axis]
+        half_shape = tuple(s // 2 if a == axis % len(shape) else s for a, s in enumerate(shape))
+        spec = self._spectrum(half_shape, axis, freq_axes)
+        v = self.rng.standard_normal(n) + 1j * self.rng.standard_normal(n)
+        want = _kept(unfold(spec, v, axis), axis, n // 2 + 1)
+        got = half_unfold(_kept(spec, axis, n // 4 + 1), v, axis, freq_axes)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_bin_count_validated(self):
+        v = np.ones(16)
+        with pytest.raises(ValueError, match="9 bins"):
+            half_fold(np.zeros((4, 16), complex), v, axis=1)
+        with pytest.raises(ValueError, match="5 bins"):
+            half_unfold(np.zeros((4, 8), complex), v, axis=1)
 
 
 class TestFullTransform:

@@ -11,6 +11,8 @@ from gaborwt.transform2d import (
     Pyramid2D,
     _XI_SLOTS,
     _ZETA_SLOTS,
+    _dropped_imag_bound,
+    _samples,
     build_channel_table,
     directional_ht_check,
     dtcwt2d_forward,
@@ -235,6 +237,94 @@ class TestFFTCount:
         assert np.max(np.abs(rec - img)) <= 1e-12
         # one image DFT; per channel three subbands per level and one residue
         assert len(calls) == 2 * (1 + 4 * (3 * levels + 1))
+
+
+class TestHalfSpectrumPath:
+    def test_round_trip_calls_only_real_ffts(self, monkeypatch):
+        calls = []
+        for name in np.fft.__all__:
+            fn = getattr(np.fft, name)
+            if callable(fn) and "freq" not in name and "shift" not in name:
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    calls.append(_name)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(np.fft, name, counted)
+        table = build_channel_table(P3, (64, 128), 3)
+        img = RNG.standard_normal((64, 128))
+        calls.clear()
+        dtcwt2d_forward(img, table)
+        assert set(calls) == {"rfft2", "irfft2"} and calls[0] == "rfft2"
+        assert calls.count("rfft2") == 1
+        calls.clear()
+        dtcwt2d_inverse(dtcwt2d_forward(RNG.standard_normal((64, 128)), table), table)
+        assert set(calls) == {"rfft2", "irfft2"}
+
+
+class TestSampleCheck:
+    """The check on the imaginary residue that irfft2 drops."""
+
+    SHAPE = (16, 32)
+
+    def test_valid_spectrum_passes(self):
+        img = RNG.standard_normal(self.SHAPE)
+        out = _samples(np.fft.rfft2(img), self.SHAPE)
+        assert np.max(np.abs(out - img)) <= 1e-15 * np.max(np.abs(img))
+
+    @pytest.mark.parametrize("column", [0, 16])  # DC and Nyquist columns
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_anti_hermitian_content_raises(self, column, row):
+        spec = np.fft.rfft2(RNG.standard_normal(self.SHAPE))
+        spec[row, column] += 1e-6j * spec.size
+        with pytest.raises(AssertionError, match="imaginary residue"):
+            _samples(spec, self.SHAPE)
+
+    def test_hermitian_content_passes(self):
+        # a conjugate pair along x in the Nyquist column is real content
+        spec = np.fft.rfft2(RNG.standard_normal(self.SHAPE))
+        z = 3.0 + 4.0j
+        spec[3, 16] += z
+        spec[-3, 16] += np.conj(z)
+        assert np.isfinite(_samples(spec, self.SHAPE)).all()
+
+    def test_bound_covers_dropped_residue(self):
+        spec = np.fft.rfft2(RNG.standard_normal(self.SHAPE))
+        spec[:, [0, 16]] += 1e-3j * RNG.standard_normal((16, 2))
+        full = np.empty((16, 32), dtype=complex)
+        full[:, :17] = spec
+        full[:, 17:] = np.conj(spec[(-np.arange(16)) % 16][:, 15:0:-1])
+        dropped = np.max(np.abs(np.fft.ifft2(full).imag))
+        assert 0 < dropped <= _dropped_imag_bound(spec, self.SHAPE)
+
+
+class TestMixingMatrices:
+    def test_non_standard_matrices_honoured(self):
+        rng = np.random.default_rng(5)
+        q_r = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        q_i = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        q_r[2] = 0.0  # an all-zero row
+        m = MixingMatrices(q_r, q_i)
+        zeta = [rng.standard_normal((8, 4)) for _ in range(6)]
+        xi = [rng.standard_normal((8, 4)) for _ in range(6)]
+        w = mix_subbands(zeta, xi, m)
+        for k in range(6):
+            want = (sum(q_r[k, l] * zeta[l] for l in range(6))
+                    + 1j * sum(q_i[k, l] * xi[l] for l in range(6)))
+            np.testing.assert_allclose(w[k], want, rtol=0, atol=1e-14)
+        z2, x2 = unmix_subbands(w, m)
+        for k in range(6):
+            np.testing.assert_allclose(z2[k], sum(q_r[l, k] * w[l].real for l in range(6)),
+                                       rtol=0, atol=1e-14)
+            np.testing.assert_allclose(x2[k], sum(q_i[l, k] * w[l].imag for l in range(6)),
+                                       rtol=0, atol=1e-14)
+
+    def test_identity_slots_are_read_only_views(self):
+        w = mix_subbands([RNG.standard_normal((4, 4)) for _ in range(6)],
+                         [RNG.standard_normal((4, 4)) for _ in range(6)])
+        zeta, xi = unmix_subbands(w)
+        assert np.shares_memory(zeta[0], w[0]) and np.shares_memory(xi[3], w[3])
+        with pytest.raises(ValueError):
+            zeta[0][0, 0] = 1.0
+        assert not np.shares_memory(zeta[4], w[4])  # scaled slots are new arrays
 
 
 class TestOrientationSelectivity:
