@@ -90,6 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built once: argparse reads but never changes a parser while parsing
+_PARSER = _build_parser()
+
+
 def cmd_xform1d(args) -> int:
     p = SplineParams(args.alpha, args.tau)
     f = Signal1D(read_signal(args.in_path, args.format))
@@ -172,7 +176,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except AssertionError as exc:

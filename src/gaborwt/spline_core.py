@@ -19,6 +19,7 @@ whose Fourier coefficients are exactly 1/(pi(k+1/2)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
@@ -33,6 +34,7 @@ __all__ = [
     "fd_ft",
     "ht_filter",
     "autocorr_ft",
+    "hermitian_part",
 ]
 
 _HERMITIAN_TOL = 1e-12
@@ -110,6 +112,24 @@ class ComplexResponse:
     def hermitian_deviation(self) -> float:
         flipped = self.values[self.grid.negated_bins()]
         return float(np.max(np.abs(flipped - np.conj(self.values))))
+
+    @cached_property
+    def hermitian_values(self) -> np.ndarray:
+        """:func:`hermitian_part` of the values, computed on first use and kept."""
+        return hermitian_part(self.values)
+
+
+def hermitian_part(v: np.ndarray) -> np.ndarray:
+    """Hermitian part 0.5 (v(k) + conj(v(-k))) of a response on a full DFT grid.
+
+    It is the response of the nearest real filter.  The half spectra of
+    real data (the rfft layout) keep one bin of each conjugate pair, so a
+    filter's anti-Hermitian rounding residue would enter them from one
+    side only, where a full spectrum cancels it in the real part of its
+    inverse DFT.  The half-spectrum transforms therefore apply every
+    filter as its Hermitian part.
+    """
+    return 0.5 * (v + np.concatenate((v[:1], v[:0:-1])).conj())
 
 
 def frac_power(z, gamma):

@@ -9,11 +9,16 @@ w_i = cH_i + j c'H_i, giving a 2x-redundant analytic decomposition with
 an exact left inverse.
 
 The spectral helpers :func:`fold` and :func:`unfold` act along any axis
-of an array of spectra.  The one-level kernels wrap them in a DFT pair
-along that axis; the 2D transform calls them directly and stays in the
-frequency domain between levels.  :func:`half_fold` and
-:func:`half_unfold` do the same on the half spectrum of real data (the
-rfft layout), which the 2D transform keeps along y.
+of an array of spectra; :func:`half_fold` and :func:`half_unfold` do the
+same on the half spectrum of real data (the rfft layout, bins 0..n/2).
+Every signal and branch of the filterbank is real, so the kernels
+(:func:`project`, :func:`unproject`, :func:`analyze_level` and
+:func:`synthesize_level`) work on half spectra along any one axis: an
+rfft in, a half fold or unfold by each filter's Hermitian part (computed
+once per response, on first use), and an irfft out.  irfft can drop
+imaginary content only at bins 0 and n/2, and each irfft is checked for
+exactly that residue.  The 2D transform calls the helpers directly and
+stays in the frequency domain between levels.
 """
 
 from __future__ import annotations
@@ -92,57 +97,73 @@ class Pyramid1D:
         return self.lowpass_a.size + self.lowpass_b.size + 2 * sum(s.size for s in self.w)
 
 
-def _real_part(x: np.ndarray) -> np.ndarray:
-    """Real part of a kernel output, after checking its imaginary residue.
+def _check_dropped(bound: float, out: np.ndarray) -> np.ndarray:
+    """Return ``out`` after checking the imaginary residue its inverse real DFT dropped.
 
-    The tolerance is relative to max(1, max|real|), so max|real| is only
-    needed once the residue exceeds the absolute tolerance.
+    ``bound`` bounds that residue per sample.  The tolerance is relative
+    to max(1, max|out|), so max|out| is only needed once the bound exceeds
+    the absolute tolerance.
     """
-    if x.size:
-        resid = float(np.max(np.abs(x.imag)))
-        if resid > _IMAG_TOL and resid > _IMAG_TOL * max(1.0, float(np.max(np.abs(x.real)))):
-            raise AssertionError(f"imaginary residue {resid:.3e} exceeds tolerance")
-    return np.ascontiguousarray(x.real)
+    if bound > _IMAG_TOL and bound > _IMAG_TOL * max(1.0, float(np.max(np.abs(out)))):
+        raise AssertionError(f"dropped imaginary residue bound {bound:.3e} exceeds tolerance")
+    return out
 
 
-def _separable(c: np.ndarray, pre: tuple[ComplexResponse, ...], axes) -> np.ndarray:
-    """Broadcast product of one pre-filter per axis of ``axes``."""
+def _dropped_imag_bound_1d(spec: np.ndarray, n: int, axis: int) -> float:
+    """Bound on the imaginary residue that irfft drops from a half spectrum.
+
+    ``spec`` holds bins 0..n/2 along ``axis``.  irfft completes the other
+    bins by conjugate symmetry, so the only imaginary content it can drop
+    is that of bins 0 and n/2: per sample at most
+    (|Im X[0]| + |Im X[n/2]|) / n, maximised over the other axes.
+    """
+    at = (slice(None),) * (axis % spec.ndim)
+    edges = abs(spec[at + (0,)].imag) + abs(spec[at + (-1,)].imag)
+    if spec.ndim > 1:
+        edges = edges.max(initial=0.0)  # 0 for an empty batch
+    return float(edges) / n
+
+
+def _irfft(spec: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """Real length-``n`` samples along ``axis`` from a half spectrum (the rfft
+    layout), after :func:`_check_dropped` on the residue irfft drops."""
+    return _check_dropped(_dropped_imag_bound_1d(spec, n, axis), np.fft.irfft(spec, n, axis=axis))
+
+
+def _check_finite(arrays, what: str) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"{what} contains non-finite values")
+
+
+def _prefilter(c: np.ndarray, pre: tuple[ComplexResponse, ...], axes, op) -> np.ndarray:
+    """Apply ``op`` (multiply or divide) by one pre-filter per axis of ``axes``.
+
+    The axes are filtered one after another, each with one real DFT pair.
+    """
     if len(pre) != len(axes):
         raise ValueError("need one pre-filter per axis")
-    sep = 1.0
     for resp, axis in zip(pre, axes):
-        if c.shape[axis] != resp.grid.n:
+        n = c.shape[axis]
+        if n != resp.grid.n:
             raise ValueError("signal and pre-filter length mismatch")
         # length-1 axes after ``axis`` make the response broadcast along it
-        sep = sep * resp.values.reshape((-1,) + (1,) * (c.ndim - 1 - axis % c.ndim))
-    return sep
-
-
-def _fft(x: np.ndarray, axes, inverse: bool = False) -> np.ndarray:
-    """One (inverse) DFT over ``axes``.
-
-    A single axis goes to fft/ifft: fftn's call overhead is twice theirs,
-    which is a few percent of a whole transform of a short signal.
-    """
-    if len(axes) == 1:
-        return (np.fft.ifft if inverse else np.fft.fft)(x, axis=axes[0])
-    return (np.fft.ifftn if inverse else np.fft.fftn)(x, axes=axes)
+        v = resp.hermitian_values[:n // 2 + 1].reshape((-1,) + (1,) * (c.ndim - 1 - axis % c.ndim))
+        c = _irfft(op(np.fft.rfft(c, axis=axis), v), n, axis)
+    return c
 
 
 def project(c: np.ndarray, *pre: ComplexResponse, axes=(-1,)) -> np.ndarray:
     """Pre-filter samples into scaling-space coefficients (circular).
 
-    ``pre`` holds one response per axis of ``axes``; their separable
-    product is applied with one FFT pair over those axes.
+    ``pre`` holds one response per axis of ``axes``; each axis is
+    filtered by its response in turn.
     """
-    sep = _separable(c, pre, axes)
-    return _real_part(_fft(_fft(c, axes) * sep, axes, inverse=True))
+    return _prefilter(c, pre, axes, np.multiply)
 
 
 def unproject(c: np.ndarray, *pre: ComplexResponse, axes=(-1,)) -> np.ndarray:
     """Invert :func:`project` by spectral division (P has no zero bins)."""
-    sep = _separable(c, pre, axes)
-    return _real_part(_fft(_fft(c, axes) / sep, axes, inverse=True))
+    return _prefilter(c, pre, axes, np.divide)
 
 
 def fold(spec: np.ndarray, values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -185,12 +206,14 @@ def _mirrors(ndim: int, freq_axes):
 
     Along each axis of ``freq_axes`` src holds the bin -k mod m of dst's
     bin k, in two pieces: bin 0 to itself, and bins 1.. to the reversed
-    bins m-1..1.  The other axes map to themselves.
+    bins m-1..1.  The other axes map to themselves, so with no such axis
+    the one pair is the whole array.
     """
+    if not freq_axes:
+        return (((), ()),)
     per_axis = [((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
                 if a in freq_axes else ((slice(None), slice(None)),) for a in range(ndim)]
-    for combo in itertools.product(*per_axis):
-        yield tuple(zip(*combo))
+    return [tuple(zip(*combo)) for combo in itertools.product(*per_axis)]
 
 
 def _half_axis(spec: np.ndarray, axis: int, freq_axes, bins: int):
@@ -214,16 +237,15 @@ def half_fold(spec: np.ndarray, values: np.ndarray, axis: int = -1,
     """
     n = values.size
     ax, freq = _half_axis(spec, axis, freq_axes, n // 2 + 1)
-    q = n // 4
+    q, h = n // 4, n // 2
     v = values.reshape((-1,) + (1,) * (spec.ndim - 1 - ax))
     at = (slice(None),) * ax
     out = spec[at + (slice(None, q + 1),)] * v[:q + 1]
-    # conj(X) v = conj(X conj(v)), so each product is conjugated in place
-    v_hi = v[n // 2:n // 2 + q + 1].conj()
     for dst, src in _mirrors(spec.ndim, freq):
-        t = spec[src][at + (slice(n // 2, n // 2 - q - 1, -1),)] * v_hi
+        t = np.conjugate(spec[src][at + (slice(h, h - q - 1, -1),)])
+        t *= v[h:h + q + 1]
         lo = out[dst]
-        np.add(lo, np.conjugate(t, out=t), out=lo)
+        np.add(lo, t, out=lo)
     out *= 0.5
     return out
 
@@ -259,14 +281,14 @@ def analyze_level(c: np.ndarray, h_tilde: ComplexResponse, g_tilde: ComplexRespo
                   axis: int = -1):
     """One analysis step along ``axis``: filter and decimate both branches.
 
-    One DFT of ``c``, a :func:`fold` per branch, and a half-length
-    inverse DFT per branch.
+    One real DFT of ``c``, a :func:`half_fold` per branch, and a
+    half-length inverse real DFT per branch.
     """
     n = c.shape[axis]
     if n != h_tilde.grid.n or n != g_tilde.grid.n:
         raise ValueError("coefficient length does not match filter grid")
-    spec = np.fft.fft(c, axis=axis)
-    return tuple(_real_part(np.fft.ifft(fold(spec, filt.values, axis), axis=axis))
+    spec = np.fft.rfft(c, axis=axis)
+    return tuple(_irfft(half_fold(spec, filt.hermitian_values, axis), n // 2, axis)
                  for filt in (h_tilde, g_tilde))
 
 
@@ -274,19 +296,19 @@ def synthesize_level(cl: np.ndarray, ch: np.ndarray,
                      h: ComplexResponse, g: ComplexResponse, axis: int = -1) -> np.ndarray:
     """One synthesis step along ``axis``: upsample, filter and merge both branches.
 
-    Each branch is one DFT and an :func:`unfold`; the sum goes through
-    one full-length inverse DFT.  The decimation's 1/2 is compensated
-    here by the factor 2.
+    Each branch is one real DFT and a :func:`half_unfold`; the sum goes
+    through one full-length inverse real DFT.  The decimation's 1/2 is
+    compensated here by the factor 2.
     """
     n = h.grid.n
     if cl.shape[axis] != n // 2 or ch.shape[axis] != n // 2:
         raise ValueError("subband length does not match filter grid")
     if n != g.grid.n:
         raise ValueError("synthesis filters on mismatched grids")
-    out = unfold(np.fft.fft(cl, axis=axis), h.values, axis)
-    out += unfold(np.fft.fft(ch, axis=axis), g.values, axis)
+    out = half_unfold(np.fft.rfft(cl, axis=axis), h.hermitian_values, axis)
+    out += half_unfold(np.fft.rfft(ch, axis=axis), g.hermitian_values, axis)
     out *= 2.0
-    return _real_part(np.fft.ifft(out, axis=axis))
+    return _irfft(out, n, axis)
 
 
 def _analyze_channel(c0: np.ndarray, ch: ChannelFilters):
@@ -316,14 +338,19 @@ def dtcwt1d_forward(f: Signal1D, design: DualTreeDesign) -> Pyramid1D:
     cb0 = project(f.samples, design.channel_b.prefilter)
     la, ha = _analyze_channel(ca0, design.channel_a)
     lb, hb = _analyze_channel(cb0, design.channel_b)
-    w = tuple(a + 1j * b for a, b in zip(ha, hb))
-    return Pyramid1D(la, lb, w)
+    w = []
+    for a, b in zip(ha, hb):
+        wi = np.empty(a.shape, dtype=np.complex128)
+        wi.real, wi.imag = a, b
+        w.append(wi)
+    return Pyramid1D(la, lb, tuple(w))
 
 
 def dtcwt1d_inverse(p: Pyramid1D, design: DualTreeDesign) -> Signal1D:
     """Left inverse of :func:`dtcwt1d_forward` (exact on range(T))."""
     if p.levels != design.levels or p.signal_len != design.signal_len:
         raise ValueError("pyramid shape does not match design")
+    _check_finite((p.lowpass_a, p.lowpass_b, *p.w), "pyramid")
     ca = _synthesize_channel(p.lowpass_a, [wi.real for wi in p.w], design.channel_a)
     cb = _synthesize_channel(p.lowpass_b, [wi.imag for wi in p.w], design.channel_b)
     fa = unproject(ca, design.channel_a.prefilter)

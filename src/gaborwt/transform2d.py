@@ -34,9 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filter_design import ChannelFilters, design_dual_tree
-from .spline_core import SplineParams, bspline_ft
+from .spline_core import SplineParams, bspline_ft, hermitian_part
 from .transform1d import (
-    _IMAG_TOL,
+    _check_dropped,
+    _check_finite,
     _wavelet_hat,
     fold,
     half_fold,
@@ -201,21 +202,10 @@ def unmix_subbands(w, m: MixingMatrices | None = None):
     return part(m.lambda_r, [wk.real for wk in w]), part(m.lambda_i, [wk.imag for wk in w])
 
 
-def _hermitian(v: np.ndarray) -> np.ndarray:
-    """Hermitian part 0.5 (v(k) + conj(v(-k))) of a response on a full DFT grid.
-
-    The half spectra keep one bin of each conjugate pair, so a filter's
-    anti-Hermitian rounding residue would enter them from one side only,
-    where a full spectrum cancels it in the real part of its inverse DFT.
-    Every filter is therefore applied as its Hermitian part.
-    """
-    return 0.5 * (v + np.concatenate((v[:1], v[:0:-1])).conj())
-
-
 def _analysis_filters(ch: ChannelFilters):
     """Per-level (h~, g~) values of one axis, the pre-filter folded into level 1."""
     pre = ch.prefilter.values
-    return [tuple(_hermitian(pre * r.values if i == 0 else r.values)
+    return [tuple(hermitian_part(pre * r.values if i == 0 else r.values)
                   for r in (lf.h_tilde, lf.g_tilde)) for i, lf in enumerate(ch.levels)]
 
 
@@ -225,7 +215,7 @@ def _synthesis_filters(ch: ChannelFilters):
     The factor 2 compensates the decimation's 1/2 on this axis.
     """
     inv = 2.0 / np.conj(ch.prefilter.values)
-    return [tuple(_hermitian((inv if i == 0 else 2.0) * r.values) for r in (lf.h, lf.g))
+    return [tuple(hermitian_part((inv if i == 0 else 2.0) * r.values) for r in (lf.h, lf.g))
             for i, lf in enumerate(ch.levels)]
 
 
@@ -259,16 +249,7 @@ def _samples(spec: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     Raises AssertionError when the imaginary residue irfft2 drops may
     exceed the tolerance, relative to max(1, max|out|) as in transform1d.
     """
-    out = np.fft.irfft2(spec, s=shape)
-    bound = _dropped_imag_bound(spec, shape)
-    if bound > _IMAG_TOL and bound > _IMAG_TOL * max(1.0, float(np.max(np.abs(out)))):
-        raise AssertionError(f"dropped imaginary residue bound {bound:.3e} exceeds tolerance")
-    return out
-
-
-def _check_finite(arrays, what: str) -> None:
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise ValueError(f"{what} contains non-finite values")
+    return _check_dropped(_dropped_imag_bound(spec, shape), np.fft.irfft2(spec, s=shape))
 
 
 def _y_fold(spec: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -181,6 +181,16 @@ class TestCli:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "pyr").exists()
 
+    def test_non_finite_pyramid_exits_2(self, tmp_path, capsys):
+        p = SplineParams(3.0, 0.0)
+        pyr = dtcwt1d_forward(Signal1D(np.cos(np.arange(64.0))), design_dual_tree(p, 64, 2))
+        pyr.w[0][2] = np.nan
+        save_pyramid1d(tmp_path / "pyr", pyr, p)
+        assert main(["ixform1d", "--in", str(tmp_path / "pyr"),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert "pyramid contains non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["xform1d"])  # missing required flags

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from gaborwt.transform1d import (
     unfold,
     unproject,
     _dense_grid,
+    _dropped_imag_bound_1d,
+    _irfft,
     _wavelet_hat,
 )
 
@@ -181,6 +185,123 @@ class TestHalfSpectrum:
             half_unfold(np.zeros((4, 8), complex), v, axis=1)
 
 
+def _counted_ffts(monkeypatch):
+    """Wrap every numpy.fft transform so that its calls are listed by name."""
+    calls = []
+    for name in np.fft.__all__:
+        fn = getattr(np.fft, name)
+        if callable(fn) and "freq" not in name and "shift" not in name:
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+class TestRealFFTPath:
+    """The 1D kernels run on half spectra: real DFTs only, same call sequence."""
+
+    rng = np.random.default_rng(17)
+
+    @pytest.mark.parametrize("levels", [1, 3, 6])  # 6 = log2(n) - 2
+    def test_round_trip_calls_only_real_ffts(self, monkeypatch, levels):
+        n = 256
+        d = design_dual_tree(SplineParams(3.0, 0.25), n, levels)
+        f = Signal1D(self.rng.standard_normal(n))
+        calls = _counted_ffts(monkeypatch)
+        rec = dtcwt1d_inverse(dtcwt1d_forward(f, d), d)
+        assert np.max(np.abs(rec.samples - f.samples)) <= 1e-13
+        assert set(calls) == {"rfft", "irfft"}
+        # per channel: projection 2, each level 3 (analysis) and 3 (synthesis), unprojection 2
+        assert len(calls) == 2 * (2 + 6 * levels + 2)
+        assert calls.count("rfft") == calls.count("irfft")
+
+
+class TestDroppedResidue:
+    """The check on the imaginary residue that irfft drops in the 1D kernels."""
+
+    rng = np.random.default_rng(19)
+    N = 64
+
+    @pytest.mark.parametrize("bin_", [0, 32])  # DC and Nyquist
+    def test_imaginary_edge_bin_raises(self, bin_):
+        spec = np.fft.rfft(self.rng.standard_normal(self.N))
+        spec[bin_] += 1e-6j * self.N
+        with pytest.raises(AssertionError, match="imaginary residue"):
+            _irfft(spec, self.N, -1)
+
+    def test_hermitian_spectrum_passes(self):
+        x = self.rng.standard_normal(self.N)
+        spec = np.fft.rfft(x)
+        np.testing.assert_allclose(_irfft(spec, self.N, -1), x, rtol=0, atol=1e-15 * self.N)
+        # any interior bin stands for a conjugate pair: real content
+        spec[5] += 3.0 + 4.0j
+        assert _dropped_imag_bound_1d(spec, self.N, -1) == 0.0
+        assert np.isfinite(_irfft(spec, self.N, -1)).all()
+
+    def test_empty_batch_passes(self):
+        assert _irfft(np.zeros((0, self.N // 2 + 1), complex), self.N, -1).shape == (0, self.N)
+
+    @pytest.mark.parametrize("shape,axis", [((64,), -1), ((64, 8), 0), ((8, 64), 1), ((8, 64), -1)])
+    def test_bound_covers_dropped_residue(self, shape, axis):
+        n = shape[axis]
+        spec = np.fft.rfft(self.rng.standard_normal(shape), axis=axis)
+        last = np.moveaxis(spec, axis, -1)  # a view: writes reach spec
+        last[..., [0, n // 2]] += 1e-3j * self.rng.standard_normal(last.shape[:-1] + (2,))
+        # the full spectrum that irfft completes, with the edge bins as given
+        full = np.concatenate((last, np.conj(last[..., n // 2 - 1:0:-1])), axis=-1)
+        dropped = np.max(np.abs(np.fft.ifft(full).imag))
+        bound = _dropped_imag_bound_1d(spec, n, axis)
+        # never below the residue, and with two bins per line attained by
+        # it; ifft's own rounding (unit-scale data) adds up to ~1e-16
+        assert bound > 1e-6
+        assert dropped <= bound + 1e-15
+        assert dropped >= bound - 1e-15
+
+
+def _ref_prefilter(x, values, axis, op):
+    v = values.reshape((-1,) + (1,) * (x.ndim - 1 - axis % x.ndim))
+    return np.fft.ifft(op(np.fft.fft(x, axis=axis), v), axis=axis).real
+
+
+def _ref_analyze(x, filt, axis):
+    return np.fft.ifft(fold(np.fft.fft(x, axis=axis), filt.values, axis), axis=axis).real
+
+
+def _ref_synthesize(lo, hi, h, g, axis):
+    spec = unfold(np.fft.fft(lo, axis=axis), h.values, axis)
+    spec += unfold(np.fft.fft(hi, axis=axis), g.values, axis)
+    return 2.0 * np.fft.ifft(spec, axis=axis).real
+
+
+class TestAgainstFullSpectrum:
+    """The four kernels against the full-spectrum algorithm: fft, fold or
+    unfold by the raw filter values, ifft and the real part."""
+
+    rng = np.random.default_rng(23)
+
+    @pytest.mark.parametrize("shape,axis", [((64, 16), 0), ((16, 64), 1), ((8, 64), -1),
+                                            ((128,), -1)])
+    @pytest.mark.parametrize("channel", ["channel_a", "channel_b"])
+    def test_kernels_match(self, shape, axis, channel):
+        n = shape[axis]
+        ch = getattr(design_dual_tree(SplineParams(2.5, 0.3), n, 1), channel)
+        lf, pre = ch.levels[0], ch.prefilter
+        x = self.rng.standard_normal(shape)
+
+        def close(got, want):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+        close(project(x, pre, axes=(axis,)), _ref_prefilter(x, pre.values, axis, np.multiply))
+        close(unproject(x, pre, axes=(axis,)), _ref_prefilter(x, pre.values, axis, np.divide))
+        lo, hi = analyze_level(x, lf.h_tilde, lf.g_tilde, axis=axis)
+        close(lo, _ref_analyze(x, lf.h_tilde, axis))
+        close(hi, _ref_analyze(x, lf.g_tilde, axis))
+        close(synthesize_level(lo, hi, lf.h, lf.g, axis=axis),
+              _ref_synthesize(lo, hi, lf.h, lf.g, axis))
+
+
 class TestFullTransform:
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0, 6.0])
     @pytest.mark.parametrize("tau", [0.0, 0.25])
@@ -231,6 +352,19 @@ class TestFullTransform:
         np.testing.assert_allclose(pyr2.lowpass_a, pyr.lowpass_a, atol=1e-11)
         for a, b in zip(pyr2.w, pyr.w):
             np.testing.assert_allclose(a, b, atol=1e-11)
+
+    @pytest.mark.parametrize("where", ["lowpass", "subband"])
+    def test_non_finite_pyramid_rejected(self, where):
+        d = _design()
+        pyr = dtcwt1d_forward(Signal1D(np.cos(np.arange(256.0))), d)
+        if where == "lowpass":
+            pyr.lowpass_b[3] = np.nan
+        else:
+            pyr.w[1][5] = complex(0.0, np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any arithmetic
+            with pytest.raises(ValueError, match="pyramid contains non-finite values"):
+                dtcwt1d_inverse(pyr, d)
 
     def test_shape_mismatch(self):
         d = _design()
