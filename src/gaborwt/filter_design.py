@@ -3,7 +3,9 @@
 A channel bundles the four perfect-reconstruction filters of one
 decimated wavelet decomposition (analysis lowpass/highpass ``h_tilde``,
 ``g_tilde`` and synthesis ``h``, ``g``), sampled on the DFT grid of every
-pyramid level, together with the projection pre-filter.  The second
+pyramid level, together with the projection pre-filter.  The responses
+are 2*pi-periodic, so they are evaluated once, on the signal's n-grid:
+level i holds every 2^i-th bin of level 0.  The second
 dual-tree channel is obtained from the first by modulation with the
 discrete Hilbert filter, which shifts the underlying spline by half a
 sample and preserves perfect reconstruction exactly.
@@ -155,13 +157,23 @@ def prefilter_response(p: SplineParams, n: int) -> ComplexResponse:
     return ComplexResponse(grid, vals, real_time_domain=True)
 
 
+def _all_levels(lf0: LevelFilters, grids) -> tuple[LevelFilters, ...]:
+    """The filters on each of ``grids``, the n/2^i-grid of level i: level
+    0's responses on every 2^i-th bin, which is the closed form sampled
+    on that grid.  They are stored contiguous: as strided views they made
+    the 1D kernels about 1% slower."""
+    def sample(r: ComplexResponse, grid: FrequencyGrid) -> ComplexResponse:
+        return ComplexResponse(grid, np.ascontiguousarray(r.values[::lf0.grid.n // grid.n]), True)
+    return tuple(LevelFilters(*(sample(r, grid) for r in (lf0.h_tilde, lf0.g_tilde, lf0.h, lf0.g)))
+                 for grid in grids)
+
+
 @functools.lru_cache(maxsize=64)
 def _design_channel_cached(alpha: float, tau: float, n: int, levels: int) -> ChannelFilters:
     p = SplineParams(alpha, tau)
-    per_level = tuple(
-        _level_filters(p, FrequencyGrid(n >> i)) for i in range(levels)
-    )
-    return ChannelFilters(p, per_level, prefilter_response(p, n))
+    grids = [FrequencyGrid(n >> i) for i in range(levels)]
+    return ChannelFilters(p, _all_levels(_level_filters(p, grids[0]), grids),
+                          prefilter_response(p, n))
 
 
 def design_channel(p: SplineParams, n: int, levels: int) -> ChannelFilters:
@@ -180,25 +192,24 @@ def ht_pair_channel(ch: ChannelFilters) -> ChannelFilters:
 
     g_tilde' = D(z) g_tilde, g' = D(z) g (highpass pair), while the
     lowpass filters pick up the conjugate-mirrored factor D(-1/z), which
-    equals the half-sample delay e^{-jw/2} on the open interval.  The
-    pre-filter is rebuilt for the shifted spline.  Bin-wise identical
+    equals the half-sample delay e^{-jw/2} on the open interval.  Level 0
+    is modulated and the coarser levels subsampled from it; the pre-filter
+    is rebuilt for the shifted spline.  Bin-wise identical
     (to ~1e-15) to a direct design at tau + 1/2.
     """
     p2 = ch.params.half_shifted()
-    new_levels = []
-    for lf in ch.levels:
-        w = lf.grid.omega
-        d = fd_ft(0.0, -0.5, w)
-        d_mirror = fd_ft(0.0, -0.5, np.pi - w)  # D(-e^{-jw})
-        new_levels.append(
-            LevelFilters(
-                h_tilde=ComplexResponse(lf.grid, d_mirror * lf.h_tilde.values, True),
-                g_tilde=ComplexResponse(lf.grid, d * lf.g_tilde.values, True),
-                h=ComplexResponse(lf.grid, d_mirror * lf.h.values, True),
-                g=ComplexResponse(lf.grid, d * lf.g.values, True),
-            )
-        )
-    return ChannelFilters(p2, tuple(new_levels), prefilter_response(p2, ch.signal_len))
+    lf = ch.levels[0]
+    w = lf.grid.omega
+    d = fd_ft(0.0, -0.5, w)
+    d_mirror = fd_ft(0.0, -0.5, np.pi - w)  # D(-e^{-jw})
+    level0 = LevelFilters(
+        h_tilde=ComplexResponse(lf.grid, d_mirror * lf.h_tilde.values, True),
+        g_tilde=ComplexResponse(lf.grid, d * lf.g_tilde.values, True),
+        h=ComplexResponse(lf.grid, d_mirror * lf.h.values, True),
+        g=ComplexResponse(lf.grid, d * lf.g.values, True),
+    )
+    return ChannelFilters(p2, _all_levels(level0, [level.grid for level in ch.levels]),
+                          prefilter_response(p2, ch.signal_len))
 
 
 def verify_pr(ch: ChannelFilters) -> float:

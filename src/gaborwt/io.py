@@ -94,8 +94,9 @@ def read_image(path) -> np.ndarray:
         dtype = ">u2" if maxval > 255 else "u1"
         px = np.frombuffer(data, dtype=dtype, count=w * h, offset=pos)
         return px.reshape(h, w).astype(np.float64) / maxval
-    side = json.loads(Path(str(path) + ".json").read_text())
-    w, h = side["width"], side["height"]
+    sidecar = str(path) + ".json"
+    side = json.loads(Path(sidecar).read_text())
+    w, h = _require(side, "width", sidecar), _require(side, "height", sidecar)
     return np.frombuffer(path.read_bytes(), dtype="<f8", count=w * h).reshape(h, w).copy()
 
 
@@ -152,88 +153,85 @@ def write_pgm_preview(path, field: np.ndarray):
 # ---------------------------------------------------------------------------
 # pyramids (directory + manifest)
 
-def _save_arrays(out: Path, entries):
+def _require(mapping, key: str, where: str):
+    """``mapping[key]``, or a ValueError naming the key missing from ``where``."""
+    try:
+        return mapping[key]
+    except KeyError:
+        raise ValueError(f"{where}: missing {key!r}") from None
+
+
+def _entry(name: str, code: str, arr: np.ndarray, **tags):
+    """(manifest entry, array) of one array stored as '<``code``'."""
+    return {"name": name, "file": f"{name}.{code}", "dtype": f"<{code}",
+            "shape": list(arr.shape), **tags}, arr
+
+
+def _save_pyramid(out_dir, kind: str, params: SplineParams, geometry: dict, entries) -> Path:
+    """Write the arrays of ``entries`` and the manifest of a ``kind`` pyramid."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for e, arr in entries:
         np.ascontiguousarray(arr, dtype=e["dtype"]).tofile(out / e["file"])
+    manifest = {
+        "format_version": FORMAT_VERSION, "kind": kind,
+        "byte_order": "little-endian",
+        "alpha": params.alpha, "tau": params.tau, **geometry,
+        "subbands": [e for e, _ in entries],
+    }
+    (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    return out
 
 
-def _load_array(src: Path, e) -> np.ndarray:
-    arr = np.fromfile(src / e["file"], dtype=e["dtype"])
-    return arr.reshape(e["shape"])
+def _load_pyramid(in_dir, kind: str):
+    """Read the manifest of a ``kind`` pyramid.
+
+    Returns (SplineParams, levels, load), where ``load(name)`` reads the
+    named array.  A missing key raises a ValueError that names it.
+    """
+    src = Path(in_dir)
+    where = str(src / MANIFEST_NAME)
+    m = json.loads((src / MANIFEST_NAME).read_text())
+    if m.get("kind") != kind:
+        raise ValueError(f"{src}: not a {kind}")
+    by_name = {_require(e, "name", where): e for e in _require(m, "subbands", where)}
+
+    def load(name: str) -> np.ndarray:
+        e = _require(by_name, name, f"{where} subbands")
+        arr = np.fromfile(src / _require(e, "file", name), dtype=_require(e, "dtype", name))
+        return arr.reshape(_require(e, "shape", name))
+
+    params = SplineParams(_require(m, "alpha", where), _require(m, "tau", where))
+    return params, _require(m, "levels", where), load
 
 
 def save_pyramid1d(out_dir, pyr: Pyramid1D, params: SplineParams) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for name, arr in (("lowpass_a", pyr.lowpass_a), ("lowpass_b", pyr.lowpass_b)):
-        entries.append(({"name": name, "file": f"{name}.f8", "dtype": "<f8",
-                         "shape": [arr.size]}, arr))
-    for i, wi in enumerate(pyr.w, start=1):
-        entries.append(({"name": f"w{i}", "file": f"w{i}.c16", "dtype": "<c16",
-                         "shape": [wi.size], "level": i}, wi))
-    manifest = {
-        "format_version": FORMAT_VERSION, "kind": "pyramid1d",
-        "byte_order": "little-endian",
-        "alpha": params.alpha, "tau": params.tau,
-        "length": pyr.signal_len, "levels": pyr.levels,
-        "subbands": [e for e, _ in entries],
-    }
-    _save_arrays(out, entries)
-    (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return out
+    entries = [_entry("lowpass_a", "f8", pyr.lowpass_a), _entry("lowpass_b", "f8", pyr.lowpass_b)]
+    entries += [_entry(f"w{i}", "c16", wi, level=i) for i, wi in enumerate(pyr.w, start=1)]
+    return _save_pyramid(out_dir, "pyramid1d", params,
+                         {"length": pyr.signal_len, "levels": pyr.levels}, entries)
 
 
 def load_pyramid1d(in_dir):
     """Returns (Pyramid1D, SplineParams, levels)."""
-    src = Path(in_dir)
-    m = json.loads((src / MANIFEST_NAME).read_text())
-    if m.get("kind") != "pyramid1d":
-        raise ValueError(f"{src}: not a 1D pyramid")
-    by_name = {e["name"]: e for e in m["subbands"]}
-    pyr = Pyramid1D(
-        _load_array(src, by_name["lowpass_a"]),
-        _load_array(src, by_name["lowpass_b"]),
-        tuple(_load_array(src, by_name[f"w{i}"]) for i in range(1, m["levels"] + 1)),
-    )
-    return pyr, SplineParams(m["alpha"], m["tau"]), m["levels"]
+    params, levels, load = _load_pyramid(in_dir, "pyramid1d")
+    pyr = Pyramid1D(load("lowpass_a"), load("lowpass_b"),
+                    tuple(load(f"w{i}") for i in range(1, levels + 1)))
+    return pyr, params, levels
 
 
 def save_pyramid2d(out_dir, pyr: Pyramid2D, params: SplineParams) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for n, arr in enumerate(pyr.lowpass, start=1):
-        entries.append(({"name": f"lowpass{n}", "file": f"lowpass{n}.f8",
-                         "dtype": "<f8", "shape": list(arr.shape),
-                         "channel": n}, arr))
-    for i, level in enumerate(pyr.w, start=1):
-        for k, wk in enumerate(level, start=1):
-            entries.append(({"name": f"w{i}_{k}", "file": f"w{i}_{k}.c16",
-                             "dtype": "<c16", "shape": list(wk.shape),
-                             "level": i, "orientation": k}, wk))
-    manifest = {
-        "format_version": FORMAT_VERSION, "kind": "pyramid2d",
-        "byte_order": "little-endian",
-        "alpha": params.alpha, "tau": params.tau,
-        "dims": list(pyr.shape), "levels": pyr.levels,
-        "subbands": [e for e, _ in entries],
-    }
-    _save_arrays(out, entries)
-    (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return out
+    entries = [_entry(f"lowpass{n}", "f8", arr, channel=n)
+               for n, arr in enumerate(pyr.lowpass, start=1)]
+    entries += [_entry(f"w{i}_{k}", "c16", wk, level=i, orientation=k)
+                for i, level in enumerate(pyr.w, start=1) for k, wk in enumerate(level, start=1)]
+    return _save_pyramid(out_dir, "pyramid2d", params,
+                         {"dims": list(pyr.shape), "levels": pyr.levels}, entries)
 
 
 def load_pyramid2d(in_dir):
     """Returns (Pyramid2D, SplineParams, levels)."""
-    src = Path(in_dir)
-    m = json.loads((src / MANIFEST_NAME).read_text())
-    if m.get("kind") != "pyramid2d":
-        raise ValueError(f"{src}: not a 2D pyramid")
-    by_name = {e["name"]: e for e in m["subbands"]}
-    lows = tuple(_load_array(src, by_name[f"lowpass{n}"]) for n in range(1, 5))
-    w = tuple(
-        tuple(_load_array(src, by_name[f"w{i}_{k}"]) for k in range(1, 7))
-        for i in range(1, m["levels"] + 1)
-    )
-    return Pyramid2D(lows, w), SplineParams(m["alpha"], m["tau"]), m["levels"]
+    params, levels, load = _load_pyramid(in_dir, "pyramid2d")
+    lows = tuple(load(f"lowpass{n}") for n in range(1, 5))
+    w = tuple(tuple(load(f"w{i}_{k}") for k in range(1, 7)) for i in range(1, levels + 1))
+    return Pyramid2D(lows, w), params, levels

@@ -5,7 +5,8 @@ fractional B-spline transform, the two-scale refinement filter, the
 fractional finite-difference (FD) operator, the discrete Hilbert filter
 d[k] = 1/(pi(k+1/2)) and the autocorrelation (Gram) filter.  The spline
 filters have infinite time-domain support, so no coefficient truncation
-is ever performed; filters exist only as samples on a DFT grid.
+is ever performed; filters exist only as samples on a DFT grid, and a
+real filter's samples are stored exactly Hermitian (:class:`ComplexResponse`).
 
 Branch convention: all fractional powers use the principal argument
 Arg z in (-pi, pi].  With this convention the zeroth-order half-shift
@@ -19,7 +20,6 @@ whose Fourier coefficients are exactly 1/(pi(k+1/2)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
@@ -34,7 +34,6 @@ __all__ = [
     "fd_ft",
     "ht_filter",
     "autocorr_ft",
-    "hermitian_part",
 ]
 
 _HERMITIAN_TOL = 1e-12
@@ -93,7 +92,13 @@ class ComplexResponse:
     """Sampled frequency response on a FrequencyGrid.
 
     ``real_time_domain`` flags responses of real filters; for those the
-    Hermitian symmetry values[(n-k) % n] == conj(values[k]) is asserted.
+    Hermitian symmetry values[(n-k) % n] == conj(values[k]) is asserted,
+    and values that pass are stored as their Hermitian part
+    0.5 (v(k) + conj(v(-k))), the response of the nearest real filter.
+    A real filter's response is thus exactly Hermitian, as the half
+    spectra of real data (the rfft layout) need: they keep one bin of
+    each conjugate pair, so an anti-Hermitian rounding residue would
+    enter them from one side only.
     """
 
     grid: FrequencyGrid
@@ -108,28 +113,12 @@ class ComplexResponse:
             dev = self.hermitian_deviation()
             if dev > _HERMITIAN_TOL:
                 raise ValueError(f"response is not Hermitian (deviation {dev:.3e})")
+            if dev > 0.0:
+                self.values = 0.5 * (self.values + np.conj(self.values[self.grid.negated_bins()]))
 
     def hermitian_deviation(self) -> float:
         flipped = self.values[self.grid.negated_bins()]
         return float(np.max(np.abs(flipped - np.conj(self.values))))
-
-    @cached_property
-    def hermitian_values(self) -> np.ndarray:
-        """:func:`hermitian_part` of the values, computed on first use and kept."""
-        return hermitian_part(self.values)
-
-
-def hermitian_part(v: np.ndarray) -> np.ndarray:
-    """Hermitian part 0.5 (v(k) + conj(v(-k))) of a response on a full DFT grid.
-
-    It is the response of the nearest real filter.  The half spectra of
-    real data (the rfft layout) keep one bin of each conjugate pair, so a
-    filter's anti-Hermitian rounding residue would enter them from one
-    side only, where a full spectrum cancels it in the real part of its
-    inverse DFT.  The half-spectrum transforms therefore apply every
-    filter as its Hermitian part.
-    """
-    return 0.5 * (v + np.concatenate((v[:1], v[:0:-1])).conj())
 
 
 def frac_power(z, gamma):

@@ -14,10 +14,10 @@ same on the half spectrum of real data (the rfft layout, bins 0..n/2).
 Every signal and branch of the filterbank is real, so the kernels
 (:func:`project`, :func:`unproject`, :func:`analyze_level` and
 :func:`synthesize_level`) work on half spectra along any one axis: an
-rfft in, a half fold or unfold by each filter's Hermitian part (computed
-once per response, on first use), and an irfft out.  irfft can drop
-imaginary content only at bins 0 and n/2, and each irfft is checked for
-exactly that residue.  The 2D transform calls the helpers directly and
+rfft in, a half fold or unfold by each filter's response (stored exactly
+Hermitian, see :class:`~gaborwt.spline_core.ComplexResponse`), and an
+irfft out.  irfft can drop imaginary content only at bins 0 and n/2, and
+each irfft is checked for exactly that residue.  The 2D transform calls the helpers directly and
 stays in the frequency domain between levels.
 """
 
@@ -147,7 +147,7 @@ def _prefilter(c: np.ndarray, pre: tuple[ComplexResponse, ...], axes, op) -> np.
         if n != resp.grid.n:
             raise ValueError("signal and pre-filter length mismatch")
         # length-1 axes after ``axis`` make the response broadcast along it
-        v = resp.hermitian_values[:n // 2 + 1].reshape((-1,) + (1,) * (c.ndim - 1 - axis % c.ndim))
+        v = resp.values[:n // 2 + 1].reshape((-1,) + (1,) * (c.ndim - 1 - axis % c.ndim))
         c = _irfft(op(np.fft.rfft(c, axis=axis), v), n, axis)
     return c
 
@@ -288,7 +288,7 @@ def analyze_level(c: np.ndarray, h_tilde: ComplexResponse, g_tilde: ComplexRespo
     if n != h_tilde.grid.n or n != g_tilde.grid.n:
         raise ValueError("coefficient length does not match filter grid")
     spec = np.fft.rfft(c, axis=axis)
-    return tuple(_irfft(half_fold(spec, filt.hermitian_values, axis), n // 2, axis)
+    return tuple(_irfft(half_fold(spec, filt.values, axis), n // 2, axis)
                  for filt in (h_tilde, g_tilde))
 
 
@@ -305,8 +305,8 @@ def synthesize_level(cl: np.ndarray, ch: np.ndarray,
         raise ValueError("subband length does not match filter grid")
     if n != g.grid.n:
         raise ValueError("synthesis filters on mismatched grids")
-    out = half_unfold(np.fft.rfft(cl, axis=axis), h.hermitian_values, axis)
-    out += half_unfold(np.fft.rfft(ch, axis=axis), g.hermitian_values, axis)
+    out = half_unfold(np.fft.rfft(cl, axis=axis), h.values, axis)
+    out += half_unfold(np.fft.rfft(ch, axis=axis), g.values, axis)
     out *= 2.0
     return _irfft(out, n, axis)
 

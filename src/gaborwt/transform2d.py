@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filter_design import ChannelFilters, design_dual_tree
-from .spline_core import SplineParams, bspline_ft, hermitian_part
+from .spline_core import SplineParams, bspline_ft
 from .transform1d import (
     _check_dropped,
     _check_finite,
@@ -205,7 +205,7 @@ def unmix_subbands(w, m: MixingMatrices | None = None):
 def _analysis_filters(ch: ChannelFilters):
     """Per-level (h~, g~) values of one axis, the pre-filter folded into level 1."""
     pre = ch.prefilter.values
-    return [tuple(hermitian_part(pre * r.values if i == 0 else r.values)
+    return [tuple(pre * r.values if i == 0 else r.values
                   for r in (lf.h_tilde, lf.g_tilde)) for i, lf in enumerate(ch.levels)]
 
 
@@ -215,7 +215,7 @@ def _synthesis_filters(ch: ChannelFilters):
     The factor 2 compensates the decimation's 1/2 on this axis.
     """
     inv = 2.0 / np.conj(ch.prefilter.values)
-    return [tuple(hermitian_part((inv if i == 0 else 2.0) * r.values) for r in (lf.h, lf.g))
+    return [tuple((inv if i == 0 else 2.0) * r.values for r in (lf.h, lf.g))
             for i, lf in enumerate(ch.levels)]
 
 

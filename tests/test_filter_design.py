@@ -3,6 +3,7 @@ import pytest
 
 from gaborwt.filter_design import (
     RieszBoundError,
+    _level_filters,
     analytic_filter,
     design_channel,
     design_dual_tree,
@@ -10,7 +11,10 @@ from gaborwt.filter_design import (
     prefilter_response,
     verify_pr,
 )
-from gaborwt.spline_core import SplineParams, autocorr_ft, bspline_ft, fd_ft
+from gaborwt.spline_core import FrequencyGrid, SplineParams, autocorr_ft, bspline_ft, fd_ft
+from gaborwt.transform1d import Signal1D, dtcwt1d_forward, dtcwt1d_inverse
+
+RESPONSES = ("h_tilde", "g_tilde", "h", "g")
 
 
 class TestDesignChannel:
@@ -163,3 +167,55 @@ class TestBiorthogonalityInvariants:
         a = design_dual_tree(SplineParams(3.0, 0.0), 128, 2)
         assert design_dual_tree(SplineParams(3.0, 0.0), 128, 2) is a
 
+
+
+class TestOneGrid:
+    """Every level is sampled from the one level-0 evaluation."""
+
+    CASES = [(3.0, 0.0, 256, 3), (2.5, 0.25, 1024, 4), (0.0, 0.5, 64, 4), (6.0, -0.7, 512, 2)]
+
+    @pytest.mark.parametrize("alpha,tau,n,levels", CASES)
+    def test_levels_are_level0_subsamples(self, alpha, tau, n, levels):
+        d = design_dual_tree(SplineParams(alpha, tau), n, levels)
+        for ch in (d.channel_a, d.channel_b):
+            lf0 = ch.levels[0]
+            for i, lf in enumerate(ch.levels[1:], start=1):
+                assert lf.grid.n == n >> i
+                for name in RESPONSES:
+                    assert np.array_equal(getattr(lf, name).values,
+                                          getattr(lf0, name).values[::2**i])
+
+    @pytest.mark.parametrize("alpha,tau,n,levels", CASES)
+    def test_levels_match_closed_form_on_their_grid(self, alpha, tau, n, levels):
+        p = SplineParams(alpha, tau)
+        ch = design_channel(p, n, levels)
+        for i, lf in enumerate(ch.levels):
+            direct = _level_filters(p, FrequencyGrid(n >> i))
+            for name in RESPONSES:
+                np.testing.assert_allclose(getattr(lf, name).values,
+                                           getattr(direct, name).values, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha,tau,n,levels", CASES)
+    def test_real_filters_exactly_hermitian(self, alpha, tau, n, levels):
+        d = design_dual_tree(SplineParams(alpha, tau), n, levels)
+        for ch in (d.channel_a, d.channel_b):
+            responses = [ch.prefilter] + [getattr(lf, name) for lf in ch.levels
+                                          for name in RESPONSES]
+            for r in responses:
+                assert r.real_time_domain
+                assert r.hermitian_deviation() == 0.0
+
+
+class TestHighDegreeDesigns:
+    """alpha=10, tau=0 at n=512 and 1024: the partner channel is modulated
+    from exactly Hermitian responses, so its raw rounding stays inside the
+    unchanged Hermitian tolerance."""
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_builds_with_perfect_reconstruction(self, n):
+        d = design_dual_tree(SplineParams(10.0, 0.0), n, 4)
+        assert verify_pr(d.channel_a) <= 1e-12
+        assert verify_pr(d.channel_b) <= 1e-12
+        x = np.random.default_rng(n).standard_normal(n)
+        back = dtcwt1d_inverse(dtcwt1d_forward(Signal1D(x), d), d).samples
+        assert np.max(np.abs(back - x)) <= 1e-10

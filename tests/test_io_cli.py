@@ -191,6 +191,34 @@ class TestCli:
         assert "pyramid contains non-finite values" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("key", ["w2", "levels"])
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, key):
+        p = SplineParams(3.0, 0.0)
+        pyr = dtcwt1d_forward(Signal1D(np.cos(np.arange(64.0))), design_dual_tree(p, 64, 2))
+        save_pyramid1d(tmp_path / "pyr", pyr, p)
+        path = tmp_path / "pyr" / "manifest.json"
+        m = json.loads(path.read_text())
+        if key == "levels":
+            del m["levels"]
+        else:
+            m["subbands"] = [e for e in m["subbands"] if e["name"] != key]
+        path.write_text(json.dumps(m))
+        assert main(["ixform1d", "--in", str(tmp_path / "pyr"),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_sidecar_without_height_exits_2(self, tmp_path, capsys):
+        write_image(tmp_path / "img.f8", RNG.standard_normal((32, 32)), "raw")
+        side = tmp_path / "img.f8.json"
+        side.write_text(json.dumps({k: v for k, v in json.loads(side.read_text()).items()
+                                    if k != "height"}))
+        assert main(["xform2d", "--alpha", "3", "--tau", "0", "--levels", "1",
+                     "--in", str(tmp_path / "img.f8"),
+                     "--out", str(tmp_path / "pyr")]) == 2
+        assert "'height'" in capsys.readouterr().err
+        assert not (tmp_path / "pyr").exists()
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["xform1d"])  # missing required flags

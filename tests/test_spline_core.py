@@ -219,3 +219,22 @@ class TestComplexResponse:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             ComplexResponse(FrequencyGrid(8), np.zeros(4))
+
+    def test_stores_hermitian_part_of_sub_tolerance_noise(self):
+        grid = FrequencyGrid(16)
+        neg = grid.negated_bins()
+        rng = np.random.default_rng(3)
+        real = np.fft.fft(rng.standard_normal(16))
+        noise = 1e-14 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        raw = real + (noise - np.conj(noise[neg]))  # anti-Hermitian noise
+        assert 0.0 < ComplexResponse(grid, raw).hermitian_deviation() <= 1e-12
+        r = ComplexResponse(grid, raw, real_time_domain=True)
+        assert r.hermitian_deviation() == 0.0
+        np.testing.assert_array_equal(r.values, 0.5 * (raw + np.conj(raw[neg])))
+        np.testing.assert_allclose(r.values, real, rtol=0.0, atol=1e-14)
+
+    def test_exactly_hermitian_values_kept_as_given(self):
+        grid = FrequencyGrid(16)
+        raw = np.fft.fft(np.arange(16.0))
+        vals = raw + np.conj(raw[grid.negated_bins()])  # Hermitian to the last bit
+        assert ComplexResponse(grid, vals, real_time_domain=True).values is vals
