@@ -12,6 +12,7 @@ Conventions shared by every format:
 from __future__ import annotations
 
 import json
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -95,8 +96,9 @@ def read_image(path) -> np.ndarray:
         px = np.frombuffer(data, dtype=dtype, count=w * h, offset=pos)
         return px.reshape(h, w).astype(np.float64) / maxval
     sidecar = str(path) + ".json"
-    side = json.loads(Path(sidecar).read_text())
-    w, h = _require(side, "width", sidecar), _require(side, "height", sidecar)
+    side = _read_object(sidecar)
+    w = _require(side, "width", sidecar, _POSITIVE_INT)
+    h = _require(side, "height", sidecar, _POSITIVE_INT)
     return np.frombuffer(path.read_bytes(), dtype="<f8", count=w * h).reshape(h, w).copy()
 
 
@@ -153,12 +155,40 @@ def write_pgm_preview(path, field: np.ndarray):
 # ---------------------------------------------------------------------------
 # pyramids (directory + manifest)
 
-def _require(mapping, key: str, where: str):
-    """``mapping[key]``, or a ValueError naming the key missing from ``where``."""
+def _is_int(v, least: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+# (test, description) pairs for _require; JSON gives bools for true/false,
+# and Python counts those as ints, so they are excluded by name
+_POSITIVE_INT = (lambda v: _is_int(v, 1), "a positive integer")
+_SHAPE = (lambda v: isinstance(v, list) and all(_is_int(d, 0) for d in v),
+          "a list of non-negative integers")
+_OBJECTS = (lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
+            "a list of objects")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_REAL = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
+_DTYPE = (lambda v: v in ("<f8", "<c16"), "'<f8' or '<c16'")
+
+
+def _read_object(path) -> dict:
+    """The JSON object stored at ``path``; anything else is a ValueError."""
+    obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _require(mapping: dict, key: str, where: str, kind=None):
+    """``mapping[key]``, or a ValueError naming the key if ``where`` lacks it
+    or its value fails the (test, description) pair ``kind``."""
     try:
-        return mapping[key]
+        value = mapping[key]
     except KeyError:
         raise ValueError(f"{where}: missing {key!r}") from None
+    if kind is not None and not kind[0](value):
+        raise ValueError(f"{where}: {key!r} must be {kind[1]}, got {reprlib.repr(value)}")
+    return value
 
 
 def _entry(name: str, code: str, arr: np.ndarray, **tags):
@@ -187,22 +217,25 @@ def _load_pyramid(in_dir, kind: str):
     """Read the manifest of a ``kind`` pyramid.
 
     Returns (SplineParams, levels, load), where ``load(name)`` reads the
-    named array.  A missing key raises a ValueError that names it.
+    named array.  A missing key, or one of the wrong type, raises a
+    ValueError that names it.
     """
     src = Path(in_dir)
     where = str(src / MANIFEST_NAME)
-    m = json.loads((src / MANIFEST_NAME).read_text())
+    m = _read_object(where)
     if m.get("kind") != kind:
         raise ValueError(f"{src}: not a {kind}")
-    by_name = {_require(e, "name", where): e for e in _require(m, "subbands", where)}
+    by_name = {_require(e, "name", where, _STRING): e
+               for e in _require(m, "subbands", where, _OBJECTS)}
 
     def load(name: str) -> np.ndarray:
         e = _require(by_name, name, f"{where} subbands")
-        arr = np.fromfile(src / _require(e, "file", name), dtype=_require(e, "dtype", name))
-        return arr.reshape(_require(e, "shape", name))
+        dtype = _require(e, "dtype", name, _DTYPE)
+        arr = np.fromfile(src / _require(e, "file", name, _STRING), dtype=dtype)
+        return arr.reshape(_require(e, "shape", name, _SHAPE))
 
-    params = SplineParams(_require(m, "alpha", where), _require(m, "tau", where))
-    return params, _require(m, "levels", where), load
+    params = SplineParams(_require(m, "alpha", where, _REAL), _require(m, "tau", where, _REAL))
+    return params, _require(m, "levels", where, _POSITIVE_INT), load
 
 
 def save_pyramid1d(out_dir, pyr: Pyramid1D, params: SplineParams) -> Path:

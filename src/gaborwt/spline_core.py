@@ -7,6 +7,9 @@ d[k] = 1/(pi(k+1/2)) and the autocorrelation (Gram) filter.  The spline
 filters have infinite time-domain support, so no coefficient truncation
 is ever performed; filters exist only as samples on a DFT grid, and a
 real filter's samples are stored exactly Hermitian (:class:`ComplexResponse`).
+The Hurwitz zeta function behind the Gram filter is computed in-package
+(:func:`_hurwitz_zeta`, the Euler-Maclaurin scheme of Cephes' ``zeta``,
+DLMF 25.11), so the module needs nothing beyond numpy.
 
 Branch convention: all fractional powers use the principal argument
 Arg z in (-pi, pi].  With this convention the zeroth-order half-shift
@@ -22,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 __all__ = [
     "SplineParams",
@@ -37,6 +39,13 @@ __all__ = [
 ]
 
 _HERMITIAN_TOL = 1e-12
+
+# (2j)! / B_{2j} for j = 1..12: the Euler-Maclaurin divisors of Cephes' zeta
+_EM_DIVISORS = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+    7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+    -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18,
+)
 
 
 @dataclass(frozen=True)
@@ -230,13 +239,41 @@ def ht_filter(k) -> np.ndarray:
     return 1.0 / (np.pi * (k + 0.5))
 
 
+def _hurwitz_zeta(s: float, q: np.ndarray) -> np.ndarray:
+    """Hurwitz zeta(s, q) = sum_{k >= 0} (q + k)^{-s} for s > 1 and q > 0.
+
+    Euler-Maclaurin summation as in Cephes' ``zeta`` (DLMF 25.11): ten
+    direct terms, the integral and half-term at w = q + 9, and twelve
+    Bernoulli corrections s(s+1)...(s+2j-2) B_{2j}/(2j)! w^{-s-2j+1}.
+    Every term is computed for the whole array, with none of Cephes'
+    per-value early exits.  The rising factorial is folded into the power
+    of w term by term, so it cannot overflow for a large s.
+    """
+    w = q + 9.0
+    total = q ** -s
+    for k in range(1, 10):
+        total = total + (q + k) ** -s
+    b = w ** -s
+    total = total + b * w / (s - 1.0)
+    total = total - 0.5 * b
+    k = 0.0
+    for divisor in _EM_DIVISORS:
+        b = b * (s + k) / w
+        total = total + b / divisor
+        b = b * (s + k + 1.0) / w
+        k += 2.0
+    return total
+
+
 def autocorr_ft(alpha: float, omega, tol: float = 1e-13) -> np.ndarray:
     """Autocorrelation (Gram) filter A^a(e^{jw}) = sum_k |beta^(w + 2 pi k)|^2.
 
     Because |beta^(w)| = |2 sin(w/2) / w|^{a+1}, the lattice sum reduces
-    to a pair of Hurwitz zeta evaluations and is computed to machine
-    precision for every a >= 0 (the requested tolerance is always met).
-    The result is real and positive, and independent of the shift tau.
+    to a pair of Hurwitz zeta evaluations, computed in-package by
+    :func:`_hurwitz_zeta` (Cephes' Euler-Maclaurin scheme, DLMF 25.11),
+    to machine precision for every a >= 0 (the requested tolerance is
+    always met).  The result is real and positive, and independent of
+    the shift tau.
     """
     if alpha < 0:
         raise ValueError("degree must be non-negative")

@@ -25,6 +25,16 @@ from gaborwt.transform2d import build_channel_table, dtcwt2d_forward
 RNG = np.random.default_rng(11)
 
 
+def _edit_subband(name, **changes):
+    """Manifest edit that updates the entry of subband ``name``."""
+    def edit(m):
+        for e in m["subbands"]:
+            if e["name"] == name:
+                e.update(changes)
+        return m
+    return edit
+
+
 class TestSignalCodec:
     def test_csv_round_trip_bit_exact(self, tmp_path):
         sig = RNG.standard_normal(64)
@@ -191,21 +201,33 @@ class TestCli:
         assert "pyramid contains non-finite values" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
-    @pytest.mark.parametrize("key", ["w2", "levels"])
-    def test_malformed_manifest_exits_2(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda m: {**m, "subbands": [e for e in m["subbands"] if e["name"] != "w2"]},
+                     "'w2'", id="w2"),
+        pytest.param(lambda m: {k: v for k, v in m.items() if k != "levels"}, "'levels'",
+                     id="levels"),
+        pytest.param(lambda m: [], "JSON object", id="top-level-list"),
+        pytest.param(lambda m: {**m, "subbands": m["subbands"] + [5]}, "'subbands'",
+                     id="subband-entry-int"),
+        pytest.param(lambda m: {**m, "subbands": 3}, "'subbands'", id="subbands-int"),
+        pytest.param(lambda m: {**m, "levels": "2"}, "'levels'", id="levels-str"),
+        pytest.param(lambda m: {**m, "levels": True}, "'levels'", id="levels-bool"),
+        pytest.param(lambda m: {**m, "levels": 0}, "'levels'", id="levels-zero"),
+        pytest.param(lambda m: {**m, "alpha": "3"}, "'alpha'", id="alpha-str"),
+        pytest.param(_edit_subband("w1", shape="x"), "'shape'", id="shape-str"),
+        pytest.param(_edit_subband("w1", shape=[-32]), "'shape'", id="shape-negative"),
+        pytest.param(_edit_subband("w1", dtype=5), "'dtype'", id="dtype-int"),
+        pytest.param(_edit_subband("w1", file=None), "'file'", id="file-null"),
+    ])
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, edit, message):
         p = SplineParams(3.0, 0.0)
         pyr = dtcwt1d_forward(Signal1D(np.cos(np.arange(64.0))), design_dual_tree(p, 64, 2))
         save_pyramid1d(tmp_path / "pyr", pyr, p)
         path = tmp_path / "pyr" / "manifest.json"
-        m = json.loads(path.read_text())
-        if key == "levels":
-            del m["levels"]
-        else:
-            m["subbands"] = [e for e in m["subbands"] if e["name"] != key]
-        path.write_text(json.dumps(m))
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         assert main(["ixform1d", "--in", str(tmp_path / "pyr"),
                      "--out", str(tmp_path / "out.csv")]) == 2
-        assert repr(key) in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     def test_sidecar_without_height_exits_2(self, tmp_path, capsys):
@@ -218,6 +240,27 @@ class TestCli:
                      "--out", str(tmp_path / "pyr")]) == 2
         assert "'height'" in capsys.readouterr().err
         assert not (tmp_path / "pyr").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("width", "32"), ("height", 32.0), ("width", True), ("height", 0), ("width", -32),
+    ])
+    def test_sidecar_non_integer_size_exits_2(self, tmp_path, capsys, key, value):
+        write_image(tmp_path / "img.f8", RNG.standard_normal((32, 32)), "raw")
+        side = tmp_path / "img.f8.json"
+        side.write_text(json.dumps({**json.loads(side.read_text()), key: value}))
+        assert main(["xform2d", "--alpha", "3", "--tau", "0", "--levels", "1",
+                     "--in", str(tmp_path / "img.f8"),
+                     "--out", str(tmp_path / "pyr")]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "pyr").exists()
+
+    def test_sidecar_not_an_object_exits_2(self, tmp_path, capsys):
+        write_image(tmp_path / "img.f8", RNG.standard_normal((32, 32)), "raw")
+        (tmp_path / "img.f8.json").write_text("[32, 32]")
+        assert main(["xform2d", "--alpha", "3", "--tau", "0", "--levels", "1",
+                     "--in", str(tmp_path / "img.f8"),
+                     "--out", str(tmp_path / "pyr")]) == 2
+        assert "JSON object" in capsys.readouterr().err
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

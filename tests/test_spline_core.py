@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import zeta as scipy_zeta
 
+from gaborwt import spline_core
 from gaborwt.spline_core import (
     ComplexResponse,
     FrequencyGrid,
@@ -206,6 +210,55 @@ class TestAutocorrFT:
             autocorr_ft(-1.0, 0.5)
         with pytest.raises(ValueError):
             autocorr_ft(1.0, 0.5, tol=0.0)
+
+
+# the kernel's accuracy, in relative terms, fixed from the dtype beforehand
+ZETA_RTOL = 8 * np.finfo(np.float64).eps
+# s = 2(alpha + 1) over alpha = 0, .25, ..., 10, and two large orders
+ZETA_ORDERS = [*np.arange(2.0, 22.5, 0.5), 50.0, 202.0]
+SWEEP_ALPHAS = (0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 6.0, 10.0)
+
+
+def _autocorr_with_scipy(alpha, w):
+    """autocorr_ft with SciPy's Hurwitz zeta in place of the in-package one."""
+    with mock.patch.object(spline_core, "_hurwitz_zeta", scipy_zeta):
+        return autocorr_ft(alpha, w)
+
+
+class TestHurwitzZeta:
+    # autocorr_ft calls the kernel with q in [1, 2]; take that interval
+    # densely, with its endpoints and the floats on either side of them
+    Q = np.concatenate([
+        np.linspace(1.0, 2.0, 8193),
+        [np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+         np.nextafter(2.0, 1.0), np.nextafter(2.0, 3.0)],
+    ])
+
+    @pytest.mark.parametrize("s", ZETA_ORDERS)
+    def test_matches_scipy(self, s):
+        np.testing.assert_allclose(spline_core._hurwitz_zeta(s, self.Q), scipy_zeta(s, self.Q),
+                                   rtol=ZETA_RTOL, atol=0.0)
+
+    def test_large_order_stays_finite(self):
+        # zeta(s, q) -> q^{-s}: 1 at q = 1 and 0 above it
+        got = spline_core._hurwitz_zeta(1e300, np.array([1.0, 1.5, 2.0]))
+        np.testing.assert_array_equal(got, [1.0, 0.0, 0.0])
+
+
+class TestAutocorrAgainstScipyZeta:
+    @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
+    def test_design_grid(self, alpha):
+        # the three arguments a design evaluates: w, w + pi and 2w
+        w = FrequencyGrid(4096).omega
+        for arg in (w, w + np.pi, 2.0 * w):
+            np.testing.assert_allclose(autocorr_ft(alpha, arg), _autocorr_with_scipy(alpha, arg),
+                                       rtol=ZETA_RTOL, atol=0.0)
+
+    @given(st.floats(0.0, 8.0), st.floats(-20.0, 20.0))
+    @settings(max_examples=100, deadline=None)
+    def test_hypothesis_range(self, alpha, w):
+        assert autocorr_ft(alpha, w) == pytest.approx(_autocorr_with_scipy(alpha, w),
+                                                      rel=ZETA_RTOL, abs=0.0)
 
 
 class TestComplexResponse:
