@@ -19,7 +19,7 @@ from .transform1d import (
     dtcwt1d_forward, dtcwt1d_inverse, render_wavelet, render_scaling,
 )
 from .transform2d import (
-    ChannelTable, Pyramid2D, MixingMatrices, ORIENTATIONS,
+    ChannelTable, Pyramid2D, ORIENTATIONS,
     build_channel_table, mix_subbands, unmix_subbands,
     dtcwt2d_forward, dtcwt2d_inverse, render_wavelet2d,
     directional_ht_check, quadrant_energy_fraction,

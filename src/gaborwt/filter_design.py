@@ -18,7 +18,7 @@ Closed forms (z = e^{jw}):
     g(z)       = g_tilde(z) / (A(z^2) * A(-z))
     p(z)       = beta^(w) / A(z)          (dual-spline projection filter)
 
-where A is the autocorrelation filter.  All responses are cached per
+where A is the autocorrelation filter.  Dual-tree pairs are cached per
 (alpha, tau, n, levels) so a design is built once per signal length.
 """
 
@@ -81,10 +81,6 @@ class ChannelFilters:
     prefilter: ComplexResponse
 
     @property
-    def signal_len(self) -> int:
-        return self.prefilter.grid.n
-
-    @property
     def n_levels(self) -> int:
         return len(self.levels)
 
@@ -139,8 +135,8 @@ def _level_filters(p: SplineParams, grid: FrequencyGrid) -> LevelFilters:
     )
 
 
-def prefilter_response(p: SplineParams, n: int) -> ComplexResponse:
-    """Projection pre-filter P = dual-spline spectrum beta^/A on an n-grid.
+def prefilter_response(p: SplineParams, grid: FrequencyGrid) -> ComplexResponse:
+    """Projection pre-filter P = dual-spline spectrum beta^/A on ``grid``.
 
     The continuous definition only covers the open interval (-pi, pi); a
     real filter on an even grid must have a real Nyquist response, so the
@@ -148,12 +144,11 @@ def prefilter_response(p: SplineParams, n: int) -> ComplexResponse:
     value (sign of cos(pi*tau), +1 at the half-integer ambiguity).  The
     response has no zero bins, which makes the projection invertible.
     """
-    grid = FrequencyGrid(n)
     w = grid.omega
     vals = bspline_ft(p, w) / _autocorr_checked(p.alpha, w)
     c = np.cos(np.pi * p.tau)
     sign = 1.0 if abs(c) < 1e-12 else np.sign(c)
-    vals[n // 2] = sign * np.abs(vals[n // 2])
+    vals[grid.n // 2] = sign * np.abs(vals[grid.n // 2])
     return ComplexResponse(grid, vals, real_time_domain=True)
 
 
@@ -168,23 +163,18 @@ def _all_levels(lf0: LevelFilters, grids) -> tuple[LevelFilters, ...]:
                  for grid in grids)
 
 
-@functools.lru_cache(maxsize=64)
-def _design_channel_cached(alpha: float, tau: float, n: int, levels: int) -> ChannelFilters:
-    p = SplineParams(alpha, tau)
-    grids = [FrequencyGrid(n >> i) for i in range(levels)]
-    return ChannelFilters(p, _all_levels(_level_filters(p, grids[0]), grids),
-                          prefilter_response(p, n))
-
-
 def design_channel(p: SplineParams, n: int, levels: int) -> ChannelFilters:
     """Build the semi-orthogonal spline channel for an n-sample signal.
 
-    Designs are cached per (alpha, tau, n, levels) and reused across
-    signals.  Raises RieszBoundError when the autocorrelation spectrum
-    drops below the stability floor.
+    The pre-filter and level 0 share one n-grid.  Uncached: designs are
+    cached whole, as dual-tree pairs, by :func:`design_dual_tree`.  Raises
+    RieszBoundError when the autocorrelation spectrum drops below the
+    stability floor.
     """
     _validate_geometry(n, levels)
-    return _design_channel_cached(p.alpha, p.tau, n, levels)
+    grids = [FrequencyGrid(n >> i) for i in range(levels)]
+    return ChannelFilters(p, _all_levels(_level_filters(p, grids[0]), grids),
+                          prefilter_response(p, grids[0]))
 
 
 def ht_pair_channel(ch: ChannelFilters) -> ChannelFilters:
@@ -209,7 +199,7 @@ def ht_pair_channel(ch: ChannelFilters) -> ChannelFilters:
         g=ComplexResponse(lf.grid, d * lf.g.values, True),
     )
     return ChannelFilters(p2, _all_levels(level0, [level.grid for level in ch.levels]),
-                          prefilter_response(p2, ch.signal_len))
+                          prefilter_response(p2, lf.grid))
 
 
 def verify_pr(ch: ChannelFilters) -> float:
@@ -257,6 +247,7 @@ def _design_dual_tree_cached(alpha: float, tau: float, n: int, levels: int) -> D
 def design_dual_tree(p: SplineParams, n: int, levels: int) -> DualTreeDesign:
     """Dual-tree pair: direct design at tau plus its HT-modulated partner.
 
-    The pair is cached per (alpha, tau, n, levels), like its first channel.
+    The pair is cached per (alpha, tau, n, levels): the package's one
+    design cache, so a design is built once per signal length.
     """
     return _design_dual_tree_cached(p.alpha, p.tau, n, levels)

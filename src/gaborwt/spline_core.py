@@ -79,7 +79,7 @@ class FrequencyGrid:
     """
 
     n: int
-    omega: np.ndarray = field(repr=False, default=None)
+    omega: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n
@@ -265,20 +265,17 @@ def _hurwitz_zeta(s: float, q: np.ndarray) -> np.ndarray:
     return total
 
 
-def autocorr_ft(alpha: float, omega, tol: float = 1e-13) -> np.ndarray:
+def autocorr_ft(alpha: float, omega) -> np.ndarray:
     """Autocorrelation (Gram) filter A^a(e^{jw}) = sum_k |beta^(w + 2 pi k)|^2.
 
     Because |beta^(w)| = |2 sin(w/2) / w|^{a+1}, the lattice sum reduces
     to a pair of Hurwitz zeta evaluations, computed in-package by
     :func:`_hurwitz_zeta` (Cephes' Euler-Maclaurin scheme, DLMF 25.11),
-    to machine precision for every a >= 0 (the requested tolerance is
-    always met).  The result is real and positive, and independent of
-    the shift tau.
+    to machine precision for every a >= 0.  The result is real and
+    positive, and independent of the shift tau.
     """
     if alpha < 0:
         raise ValueError("degree must be non-negative")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     w = np.atleast_1d(np.asarray(omega, dtype=np.float64))
     scalar = np.ndim(omega) == 0
     # A is even; reducing |w| keeps a small negative w small instead of

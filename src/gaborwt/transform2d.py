@@ -3,10 +3,17 @@
 Four separable biorthogonal decompositions are run in parallel, one per
 combination of the two spline shifts (tau, tau + 1/2) on the two axes.
 Their 12 highpass subbands per level are permuted into two 6-vectors
-(zeta, xi) and mixed by the orthonormal block matrices Lambda_R and
-Lambda_I into six complex subbands, each oriented along one of the
-angles 0, 0, 90, 90, 45, 135 degrees.  The transform is 4x redundant
-and exactly invertible.
+(zeta, xi) and mixed into six complex subbands w = Lambda_R zeta +
+j Lambda_I xi, each oriented along one of the angles 0, 0, 90, 90, 45,
+135 degrees.  The mixers are fixed and orthonormal: both are the
+identity on slots 1-4, and on slots 5-6 (the HH bands), with
+s = 1/sqrt(2),
+
+    Lambda_R = [[s, -s], [s, s]],    Lambda_I = [[s, s], [s, -s]],
+
+the sum and difference of the 2D dual tree (Selesnick, Baraniuk and
+Kingsbury, IEEE SPM 2005).  The transform is 4x redundant and exactly
+invertible.
 
 Each channel is the tensor product of two 1D decompositions, run on
 spectra with transform1d's spectral helpers: one level folds along x
@@ -52,7 +59,6 @@ __all__ = [
     "ORIENTATIONS",
     "ChannelTable",
     "Pyramid2D",
-    "MixingMatrices",
     "build_channel_table",
     "mix_subbands",
     "unmix_subbands",
@@ -75,22 +81,8 @@ ORIENTATIONS = (0.0, 0.0, np.pi / 2, np.pi / 2, np.pi / 4, 3 * np.pi / 4)
 _ZETA_SLOTS = (("HL", 0), ("HL", 1), ("LH", 0), ("LH", 2), ("HH", 0), ("HH", 3))
 _XI_SLOTS = (("HL", 2), ("HL", 3), ("LH", 1), ("LH", 3), ("HH", 1), ("HH", 2))
 
-
-@dataclass(frozen=True)
-class MixingMatrices:
-    """Orthonormal 6x6 mixers: identity on slots 1-4, +-1/sqrt(2) on 5-6."""
-
-    lambda_r: np.ndarray
-    lambda_i: np.ndarray
-
-    @classmethod
-    def standard(cls) -> "MixingMatrices":
-        r = np.eye(6)
-        i = np.eye(6)
-        s = 1.0 / np.sqrt(2.0)
-        r[4:, 4:] = np.array([[s, -s], [s, s]])
-        i[4:, 4:] = np.array([[s, s], [s, -s]])
-        return cls(r, i)
+# the entry 1/sqrt(2) of the mixers' HH block
+_S = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -139,67 +131,50 @@ def build_channel_table(p: SplineParams, shape: tuple[int, int], levels: int) ->
     return ChannelTable(p, (mx, my), levels, xf, yf)
 
 
-def _combine(out: np.ndarray, row: np.ndarray, bands) -> None:
-    """out = sum_l row[l] bands[l], written in place; zero coefficients skipped.
-
-    The sum is formed as c0 (b0 + sum_l (c_l / c0) b_l) from the first
-    nonzero coefficient c0, so a ratio of +-1 is a plain add or subtract
-    and c0 = 1 needs no multiply: the standard mixers take no temporary.
-    """
-    terms = [(c, b) for c, b in zip(row, bands) if c]
-    if not terms:
-        out[...] = 0.0
-        return
-    (c0, acc), rest = terms[0], terms[1:]
-    for c, b in rest:
-        r = c / c0
-        (np.add if r > 0 else np.subtract)(acc, b if abs(r) == 1.0 else abs(r) * b, out=out)
-        acc = out
-    if c0 != 1.0:
-        np.multiply(acc, c0, out=out)
-    elif acc is not out:
-        np.copyto(out, acc)
-
-
-def mix_subbands(zeta, xi, m: MixingMatrices | None = None):
+def mix_subbands(zeta, xi):
     """w = Lambda_R zeta + j Lambda_I xi, applied subband-wise.
 
+    The mixers are fixed and orthonormal: the identity on slots 1-4 and,
+    with s = 1/sqrt(2), on slots 5-6
+
+        Lambda_R = [[s, -s],      Lambda_I = [[s,  s],
+                    [s,  s]],                 [s, -s]],
+
+    so w_k = zeta_k + j xi_k for k = 1..4, and
+    w_5 = s (zeta_5 - zeta_6) + j s (xi_5 + xi_6),
+    w_6 = s (zeta_5 + zeta_6) + j s (xi_5 - xi_6).
     Each complex subband is allocated once, and its real and imaginary
     parts are written in place.
     """
-    m = m or MixingMatrices.standard()
-    w = []
-    for k in range(6):
-        wk = np.empty(np.shape(zeta[0]), dtype=np.complex128)
-        _combine(wk.real, m.lambda_r[k], zeta)
-        _combine(wk.imag, m.lambda_i[k], xi)
-        w.append(wk)
+    w = [np.empty(np.shape(zeta[0]), dtype=np.complex128) for _ in range(6)]
+    for k in range(4):
+        w[k].real = zeta[k]
+        w[k].imag = xi[k]
+    for out, op, src in ((w[4].real, np.subtract, zeta), (w[4].imag, np.add, xi),
+                         (w[5].real, np.add, zeta), (w[5].imag, np.subtract, xi)):
+        op(src[4], src[5], out=out)
+        out *= _S
     return tuple(w)
 
 
-def unmix_subbands(w, m: MixingMatrices | None = None):
-    """Invert :func:`mix_subbands` via the transposed (orthonormal) mixers.
+def unmix_subbands(w):
+    """Invert :func:`mix_subbands` by the transposed mixers.
 
-    A slot that is one subband's real or imaginary part unscaled, as on
-    the identity block of the standard mixers, is returned as a read-only
-    view of it; every other slot is allocated once.
+    zeta_5 = s (Re w_5 + Re w_6), zeta_6 = s (Re w_6 - Re w_5),
+    xi_5 = s (Im w_5 + Im w_6) and xi_6 = s (Im w_5 - Im w_6), with
+    s = 1/sqrt(2).  Slots 1-4 are returned as read-only views of the
+    subbands' real and imaginary parts; slots 5-6 are allocated once each.
     """
-    m = m or MixingMatrices.standard()
+    re, im = [wk.real for wk in w], [wk.imag for wk in w]
+    for band in re[:4] + im[:4]:
+        band.flags.writeable = False
 
-    def part(mat, src):
-        out = []
-        for k in range(6):
-            nz = np.flatnonzero(mat[:, k])
-            if nz.size == 1 and mat[nz[0], k] == 1.0:
-                band = src[nz[0]]
-                band.flags.writeable = False
-            else:
-                band = np.empty(np.shape(w[0]))
-                _combine(band, mat[:, k], src)
-            out.append(band)
-        return tuple(out)
+    def scaled(band):
+        band *= _S
+        return band
 
-    return part(m.lambda_r, [wk.real for wk in w]), part(m.lambda_i, [wk.imag for wk in w])
+    return ((*re[:4], scaled(re[4] + re[5]), scaled(re[5] - re[4])),
+            (*im[:4], scaled(im[4] + im[5]), scaled(im[4] - im[5])))
 
 
 def _analysis_filters(ch: ChannelFilters):

@@ -50,11 +50,6 @@ class TestDesignChannel:
         with pytest.raises(RieszBoundError):
             design_channel(SplineParams(40.0, 0.0), 64, 1)
 
-    def test_caching(self):
-        a = design_channel(SplineParams(3.0, 0.0), 128, 2)
-        b = design_channel(SplineParams(3.0, 0.0), 128, 2)
-        assert a is b
-
     def test_broken_channel_fails_pr(self):
         from dataclasses import replace
         from gaborwt.spline_core import ComplexResponse
@@ -111,26 +106,35 @@ class TestHtPairChannel:
 
 class TestPrefilter:
     def test_dc_is_one(self):
-        pre = prefilter_response(SplineParams(3.0, 0.25), 64)
+        pre = prefilter_response(SplineParams(3.0, 0.25), FrequencyGrid(64))
         assert pre.values[0] == pytest.approx(1.0)
 
     def test_value_at_nyquist_integer_shift(self):
-        pre = prefilter_response(SplineParams(1.0, 1.0), 64)
+        pre = prefilter_response(SplineParams(1.0, 1.0), FrequencyGrid(64))
         want = (-4.0 / np.pi**2) / autocorr_ft(1.0, np.pi)
         assert pre.values[32].real == pytest.approx(want, abs=1e-13)
         assert want == pytest.approx(-12.0 / np.pi**2, abs=1e-13)
 
     def test_interior_matches_definition(self):
         p = SplineParams(2.5, 0.3)
-        pre = prefilter_response(p, 128)
+        pre = prefilter_response(p, FrequencyGrid(128))
         w = pre.grid.omega
         mask = np.abs(w) < np.pi
         want = bspline_ft(p, w[mask]) / autocorr_ft(p.alpha, w[mask])
         np.testing.assert_allclose(pre.values[mask], want, atol=1e-13)
 
+    def test_design_shares_one_grid(self):
+        # both channels' pre-filters and level-0 responses hold level 0's grid
+        d = design_dual_tree(SplineParams(2.5, 0.25), 256, 3)
+        grid = d.channel_a.levels[0].grid
+        for ch in (d.channel_a, d.channel_b):
+            assert ch.prefilter.grid is grid
+            for name in RESPONSES:
+                assert getattr(ch.levels[0], name).grid is grid
+
     def test_no_zero_bins(self):
         for tau in (0.0, 0.25, 0.5, 1.0):
-            pre = prefilter_response(SplineParams(2.0, tau), 128)
+            pre = prefilter_response(SplineParams(2.0, tau), FrequencyGrid(128))
             assert np.min(np.abs(pre.values)) > 0.0
 
 

@@ -7,7 +7,6 @@ from gaborwt.transform2d import (
     CHANNEL_SHIFTS,
     ORIENTATIONS,
     ChannelTable,
-    MixingMatrices,
     Pyramid2D,
     _XI_SLOTS,
     _ZETA_SLOTS,
@@ -26,14 +25,36 @@ from gaborwt.transform2d import (
 RNG = np.random.default_rng(3)
 P3 = SplineParams(3.0, 0.0)
 
+# the paper's mixers, w = LAMBDA_R zeta + j LAMBDA_I xi: the identity on
+# slots 1-4 and +-1/sqrt(2) on the HH slots 5-6
+_S = 1.0 / np.sqrt(2.0)
+LAMBDA_R = np.eye(6)
+LAMBDA_R[4:, 4:] = [[_S, -_S], [_S, _S]]
+LAMBDA_I = np.eye(6)
+LAMBDA_I[4:, 4:] = [[_S, _S], [_S, -_S]]
+
 
 class TestMixing:
     def test_orthonormal_exactly(self):
-        m = MixingMatrices.standard()
         # entries are exact {0, 1, +-1/sqrt(2)}; the product is identity
         # to one rounding of (1/sqrt(2))^2 + (1/sqrt(2))^2
-        np.testing.assert_allclose(m.lambda_r @ m.lambda_r.T, np.eye(6), atol=1e-15)
-        np.testing.assert_allclose(m.lambda_i @ m.lambda_i.T, np.eye(6), atol=1e-15)
+        np.testing.assert_allclose(LAMBDA_R @ LAMBDA_R.T, np.eye(6), atol=1e-15)
+        np.testing.assert_allclose(LAMBDA_I @ LAMBDA_I.T, np.eye(6), atol=1e-15)
+
+    def test_matches_matrix_reference(self):
+        def assert_close(got, want):  # to 1e-15 of the largest entry
+            got, want = np.array(got), np.array(want)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+        rng = np.random.default_rng(5)
+        zeta = [rng.standard_normal((8, 4)) for _ in range(6)]
+        xi = [rng.standard_normal((8, 4)) for _ in range(6)]
+        w = mix_subbands(zeta, xi)
+        assert_close(w, np.einsum("kl,lxy->kxy", LAMBDA_R, zeta)
+                     + 1j * np.einsum("kl,lxy->kxy", LAMBDA_I, xi))
+        z2, x2 = unmix_subbands(w)
+        assert_close(z2, np.einsum("lk,lxy->kxy", LAMBDA_R, [wk.real for wk in w]))
+        assert_close(x2, np.einsum("lk,lxy->kxy", LAMBDA_I, [wk.imag for wk in w]))
 
     def test_identity_block_impulse(self):
         imp = np.zeros((4, 4))
@@ -297,26 +318,6 @@ class TestSampleCheck:
 
 
 class TestMixingMatrices:
-    def test_non_standard_matrices_honoured(self):
-        rng = np.random.default_rng(5)
-        q_r = np.linalg.qr(rng.standard_normal((6, 6)))[0]
-        q_i = np.linalg.qr(rng.standard_normal((6, 6)))[0]
-        q_r[2] = 0.0  # an all-zero row
-        m = MixingMatrices(q_r, q_i)
-        zeta = [rng.standard_normal((8, 4)) for _ in range(6)]
-        xi = [rng.standard_normal((8, 4)) for _ in range(6)]
-        w = mix_subbands(zeta, xi, m)
-        for k in range(6):
-            want = (sum(q_r[k, l] * zeta[l] for l in range(6))
-                    + 1j * sum(q_i[k, l] * xi[l] for l in range(6)))
-            np.testing.assert_allclose(w[k], want, rtol=0, atol=1e-14)
-        z2, x2 = unmix_subbands(w, m)
-        for k in range(6):
-            np.testing.assert_allclose(z2[k], sum(q_r[l, k] * w[l].real for l in range(6)),
-                                       rtol=0, atol=1e-14)
-            np.testing.assert_allclose(x2[k], sum(q_i[l, k] * w[l].imag for l in range(6)),
-                                       rtol=0, atol=1e-14)
-
     def test_identity_slots_are_read_only_views(self):
         w = mix_subbands([RNG.standard_normal((4, 4)) for _ in range(6)],
                          [RNG.standard_normal((4, 4)) for _ in range(6)])
