@@ -25,7 +25,7 @@ where A is the autocorrelation filter.  Dual-tree pairs are cached per
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,15 +74,16 @@ class LevelFilters:
 
 @dataclass(frozen=True)
 class ChannelFilters:
-    """Per-level analysis/synthesis filters plus the projection pre-filter."""
+    """Per-level analysis/synthesis filters plus the projection pre-filter.
+
+    ``autocorr`` is A(w) on the level-0 grid.  It does not depend on tau,
+    so the Hilbert partner's pre-filter divides by the same array.
+    """
 
     params: SplineParams
     levels: tuple[LevelFilters, ...]
     prefilter: ComplexResponse
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
+    autocorr: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -116,16 +117,19 @@ def _autocorr_checked(alpha: float, omega: np.ndarray) -> np.ndarray:
     return a
 
 
-def _level_filters(p: SplineParams, grid: FrequencyGrid) -> LevelFilters:
+def _level_filters(p: SplineParams, grid: FrequencyGrid, a_w: np.ndarray) -> LevelFilters:
+    """The four filters on ``grid``, given ``a_w`` = A(w) on it."""
     w = grid.omega
-    a_w = _autocorr_checked(p.alpha, w)
     a_mirror = _autocorr_checked(p.alpha, w + np.pi)
     a_dil = _autocorr_checked(p.alpha, 2.0 * w)
 
     ht = refinement_ft(p, w)
     # h_tilde(-1/z) is the closed form at frequency pi - w
-    gt = np.exp(1j * w) * a_mirror * refinement_ft(p, np.pi - w)
-    h = ht * a_w / a_dil
+    gt = np.exp(1j * w)
+    gt *= a_mirror
+    gt *= refinement_ft(p, np.pi - w)
+    h = ht * a_w
+    h /= a_dil
     g = gt / (a_dil * a_mirror)
     return LevelFilters(
         h_tilde=ComplexResponse(grid, ht, real_time_domain=True),
@@ -135,8 +139,12 @@ def _level_filters(p: SplineParams, grid: FrequencyGrid) -> LevelFilters:
     )
 
 
-def prefilter_response(p: SplineParams, grid: FrequencyGrid) -> ComplexResponse:
+def prefilter_response(p: SplineParams, grid: FrequencyGrid,
+                       autocorr: np.ndarray | None = None) -> ComplexResponse:
     """Projection pre-filter P = dual-spline spectrum beta^/A on ``grid``.
+
+    ``autocorr`` is A on ``grid`` when the caller has it already (a design
+    evaluates A(w) once for both channels); otherwise it is evaluated here.
 
     The continuous definition only covers the open interval (-pi, pi); a
     real filter on an even grid must have a real Nyquist response, so the
@@ -145,7 +153,9 @@ def prefilter_response(p: SplineParams, grid: FrequencyGrid) -> ComplexResponse:
     response has no zero bins, which makes the projection invertible.
     """
     w = grid.omega
-    vals = bspline_ft(p, w) / _autocorr_checked(p.alpha, w)
+    if autocorr is None:
+        autocorr = _autocorr_checked(p.alpha, w)
+    vals = bspline_ft(p, w) / autocorr
     c = np.cos(np.pi * p.tau)
     sign = 1.0 if abs(c) < 1e-12 else np.sign(c)
     vals[grid.n // 2] = sign * np.abs(vals[grid.n // 2])
@@ -166,15 +176,16 @@ def _all_levels(lf0: LevelFilters, grids) -> tuple[LevelFilters, ...]:
 def design_channel(p: SplineParams, n: int, levels: int) -> ChannelFilters:
     """Build the semi-orthogonal spline channel for an n-sample signal.
 
-    The pre-filter and level 0 share one n-grid.  Uncached: designs are
-    cached whole, as dual-tree pairs, by :func:`design_dual_tree`.  Raises
-    RieszBoundError when the autocorrelation spectrum drops below the
-    stability floor.
+    The pre-filter and level 0 share one n-grid and one evaluation of
+    A(w) on it.  Uncached: designs are cached whole, as dual-tree pairs,
+    by :func:`design_dual_tree`.  Raises RieszBoundError when the
+    autocorrelation spectrum drops below the stability floor.
     """
     _validate_geometry(n, levels)
     grids = [FrequencyGrid(n >> i) for i in range(levels)]
-    return ChannelFilters(p, _all_levels(_level_filters(p, grids[0]), grids),
-                          prefilter_response(p, grids[0]))
+    a_w = _autocorr_checked(p.alpha, grids[0].omega)
+    return ChannelFilters(p, _all_levels(_level_filters(p, grids[0], a_w), grids),
+                          prefilter_response(p, grids[0], a_w), a_w)
 
 
 def ht_pair_channel(ch: ChannelFilters) -> ChannelFilters:
@@ -184,7 +195,7 @@ def ht_pair_channel(ch: ChannelFilters) -> ChannelFilters:
     lowpass filters pick up the conjugate-mirrored factor D(-1/z), which
     equals the half-sample delay e^{-jw/2} on the open interval.  Level 0
     is modulated and the coarser levels subsampled from it; the pre-filter
-    is rebuilt for the shifted spline.  Bin-wise identical
+    is rebuilt for the shifted spline, on the same A(w).  Bin-wise identical
     (to ~1e-15) to a direct design at tau + 1/2.
     """
     p2 = ch.params.half_shifted()
@@ -199,7 +210,7 @@ def ht_pair_channel(ch: ChannelFilters) -> ChannelFilters:
         g=ComplexResponse(lf.grid, d * lf.g.values, True),
     )
     return ChannelFilters(p2, _all_levels(level0, [level.grid for level in ch.levels]),
-                          prefilter_response(p2, lf.grid))
+                          prefilter_response(p2, lf.grid, ch.autocorr), ch.autocorr)
 
 
 def verify_pr(ch: ChannelFilters) -> float:

@@ -79,15 +79,15 @@ class FrequencyGrid:
     """
 
     n: int
-    omega: np.ndarray = field(init=False, repr=False)
+    # derived from n, so it takes no part in equality or hashing
+    omega: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
         if n < 4 or (n & (n - 1)) != 0:
             raise ValueError(f"grid length must be a power of two >= 4, got {n}")
-        k = np.arange(n, dtype=np.float64)
-        om = 2.0 * np.pi * k / n
-        om[k > n // 2] -= 2.0 * np.pi
+        om = 2.0 * np.pi * np.arange(n, dtype=np.float64) / n
+        om[n // 2 + 1:] -= 2.0 * np.pi
         om[n // 2] = np.pi
         object.__setattr__(self, "omega", om)
 
@@ -108,6 +108,13 @@ class ComplexResponse:
     spectra of real data (the rfft layout) need: they keep one bin of
     each conjugate pair, so an anti-Hermitian rounding residue would
     enter them from one side only.
+
+    Bin -k is read from reversed views (v[0], then v[:0:-1]) rather than
+    through an index array.  The operations keep their order because the
+    stored responses must not move by a bit: the projection adds the same
+    two operands (a floating-point sum is commutative), and the check
+    measures |conj(v(-k)) - v(k)|, which is exactly the conjugate of
+    v(-k) - conj(v(k)) and so has the same modulus.
     """
 
     grid: FrequencyGrid
@@ -123,28 +130,42 @@ class ComplexResponse:
             if dev > _HERMITIAN_TOL:
                 raise ValueError(f"response is not Hermitian (deviation {dev:.3e})")
             if dev > 0.0:
-                self.values = 0.5 * (self.values + np.conj(self.values[self.grid.negated_bins()]))
+                part = _conj_negated(self.values)
+                part += self.values
+                part *= 0.5
+                self.values = part
 
     def hermitian_deviation(self) -> float:
-        flipped = self.values[self.grid.negated_bins()]
-        return float(np.max(np.abs(flipped - np.conj(self.values))))
+        d = _conj_negated(self.values)
+        d -= self.values
+        return float(np.max(np.abs(d)))
+
+
+def _conj_negated(v: np.ndarray) -> np.ndarray:
+    """conj(v[-k mod n]) for every bin k: the conjugates of v[0], then of
+    v[n-1] down to v[1], read from a reversed view."""
+    out = np.empty_like(v)
+    np.conjugate(v[:1], out=out[:1])
+    np.conjugate(v[:0:-1], out=out[1:])
+    return out
 
 
 def frac_power(z, gamma):
     """Principal-branch fractional power |z|^gamma * exp(j*gamma*Arg z).
 
     Arg z is taken in (-pi, pi] (so e.g. (-4)**0.5 = 2j).  z = 0 is
-    mapped to 0 for gamma > 0 and rejected otherwise.
+    mapped to 0 for gamma > 0 and rejected otherwise; no mask is needed
+    for it, since for gamma > 0 the formula itself gives exactly
+    0^gamma * e^{j gamma 0} = 0.  The formula is evaluated in one fixed
+    order (:func:`_pow0_polar`), because the spline filters are built on
+    its values and must keep their bits.
     """
     z = np.asarray(z, dtype=np.complex128)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
-    zero = z == 0
-    if np.any(zero) and gamma <= 0:
+    if gamma <= 0 and np.any(z == 0):
         raise ValueError("0 cannot be raised to a non-positive fractional power")
-    out = np.zeros_like(z)
-    nz = ~zero
-    out[nz] = np.abs(z[nz]) ** gamma * np.exp(1j * gamma * np.angle(z[nz]))
+    out = _pow0_polar(np.abs(z), np.angle(z), gamma)
     return out[0] if scalar else out
 
 
@@ -154,9 +175,22 @@ def _pow0(z, gamma):
     Used internally where a base vanishes while its exponent is zero
     (e.g. integer-order reductions of the refinement and FD filters).
     """
+    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    return _pow0_polar(np.abs(z), np.angle(z), gamma)
+
+
+def _pow0_polar(r: np.ndarray, theta: np.ndarray, gamma: float) -> np.ndarray:
+    """z^gamma from r = |z| and theta = Arg z, with 0^0 = 1.
+
+    Evaluated as r^gamma * e^{j gamma theta} in exactly this order: every
+    filter is built on these values, and a reordering (a reciprocal, a
+    product regrouped) moves their last bits.
+    """
     if gamma == 0:
-        return np.ones_like(np.atleast_1d(np.asarray(z, dtype=np.complex128)))
-    return np.atleast_1d(frac_power(z, gamma))
+        return np.ones(r.shape, dtype=np.complex128)
+    if gamma < 0 and np.any(r == 0):
+        raise ValueError("0 cannot be raised to a negative fractional power")
+    return r ** gamma * np.exp(1j * gamma * theta)
 
 
 def bspline_ft(params: SplineParams, omega) -> np.ndarray:
@@ -193,13 +227,21 @@ def refinement_ft(params: SplineParams, omega) -> np.ndarray:
 
     Satisfies H(1) = 1 and, for the half-shifted spline,
     H_{t+1/2}(e^{jw}) = e^{-jw/2} H_t(e^{jw}) on (-pi, pi).
+
+    With x = 1 + e^{jw}, the second base 1 + e^{-jw} is conj(x) to the
+    bit, so both powers come from one modulus |x| and one argument
+    +-Arg x.  The product is formed as (2^{-(a+1)} x^g1) conj(x)^g2, the
+    order of the formula above: grouping the two powers first moves the
+    last bit (at a = 0.5 and 2.5), and every filter is built on these
+    values.  x never vanishes on the float grid (sin(fl(pi)) != 0).
     """
     a, t = params.alpha, params.tau
     w = np.atleast_1d(np.asarray(omega, dtype=np.float64))
     scalar = np.ndim(omega) == 0
-    z = np.exp(1j * w)
-    out = (2.0 ** -(a + 1.0)) * _pow0(1.0 + z, (a + 1.0) / 2.0 - t) \
-        * _pow0(1.0 + np.conj(z), (a + 1.0) / 2.0 + t)
+    x = 1.0 + np.exp(1j * w)
+    r, theta = np.abs(x), np.angle(x)
+    out = (2.0 ** -(a + 1.0)) * _pow0_polar(r, theta, (a + 1.0) / 2.0 - t)
+    out *= _pow0_polar(r, -theta, (a + 1.0) / 2.0 + t)
     return out[0] if scalar else out
 
 
@@ -248,19 +290,34 @@ def _hurwitz_zeta(s: float, q: np.ndarray) -> np.ndarray:
     Every term is computed for the whole array, with none of Cephes'
     per-value early exits.  The rising factorial is folded into the power
     of w term by term, so it cannot overflow for a large s.
+
+    The sums accumulate in place, through one scratch array, but in the
+    order and with the operations of the plain loop: ``b *= s + k; b /= w``
+    rounds exactly as ``b * (s + k) / w``.  Multiplying by 1/w or a Horner
+    form of the corrections would be cheaper, but both move last bits, and
+    every design is built on these values.
     """
     w = q + 9.0
     total = q ** -s
+    term = np.empty_like(w)
     for k in range(1, 10):
-        total = total + (q + k) ** -s
+        np.add(q, k, out=term)
+        term **= -s
+        total += term
     b = w ** -s
-    total = total + b * w / (s - 1.0)
-    total = total - 0.5 * b
+    np.multiply(b, w, out=term)
+    term /= s - 1.0
+    total += term
+    np.multiply(b, 0.5, out=term)
+    total -= term
     k = 0.0
     for divisor in _EM_DIVISORS:
-        b = b * (s + k) / w
-        total = total + b / divisor
-        b = b * (s + k + 1.0) / w
+        b *= s + k
+        b /= w
+        np.divide(b, divisor, out=term)
+        total += term
+        b *= s + k + 1.0
+        b /= w
         k += 2.0
     return total
 
@@ -280,7 +337,8 @@ def autocorr_ft(alpha: float, omega) -> np.ndarray:
     scalar = np.ndim(omega) == 0
     # A is even; reducing |w| keeps a small negative w small instead of
     # mapping it to 2*pi - |w|, where that subtraction loses its digits
-    u = np.mod(np.abs(w), 2.0 * np.pi)  # reduce to [0, 2*pi)
+    u = np.abs(w)
+    np.mod(u, 2.0 * np.pi, out=u)  # reduce to [0, 2*pi)
     u[u >= 2.0 * np.pi] = 0.0  # np.mod can round up to exactly 2*pi
     s = 2.0 * (alpha + 1.0)
     out = np.ones(u.shape, dtype=np.float64)
@@ -288,11 +346,25 @@ def autocorr_ft(alpha: float, omega) -> np.ndarray:
     reg = u >= np.finfo(np.float64).tiny
     if np.any(reg):
         # The k = 0 and k = -1 lattice terms blow up as u -> 0 or 2*pi;
-        # peel them out of the zetas so every factor stays bounded.
+        # peel them out of the zetas so every factor stays bounded.  The
+        # three terms are summed in place, in the order
+        # (m/u)^s + (m/(2 pi - u))^s + (m/(2 pi))^s * tail.
         ur = u[reg]
         q = ur / (2.0 * np.pi)
-        m = 2.0 * np.sin(ur / 2.0)
-        tail = _hurwitz_zeta(s, 1.0 + q) + _hurwitz_zeta(s, 2.0 - q)
-        out[reg] = ((m / ur) ** s + (m / (2.0 * np.pi - ur)) ** s
-                    + (m / (2.0 * np.pi)) ** s * tail)
+        m = ur / 2.0
+        np.sin(m, out=m)
+        m *= 2.0
+        tail = _hurwitz_zeta(s, 1.0 + q)
+        tail += _hurwitz_zeta(s, 2.0 - q)
+        far = m / (2.0 * np.pi)
+        far **= s
+        tail *= far  # (m/(2 pi))^s * tail
+        total = np.divide(m, ur, out=far)
+        total **= s  # (m/u)^s
+        mirror = np.subtract(2.0 * np.pi, ur, out=q)
+        np.divide(m, mirror, out=mirror)
+        mirror **= s  # (m/(2 pi - u))^s
+        total += mirror
+        total += tail
+        out[reg] = total
     return float(out[0]) if scalar else out

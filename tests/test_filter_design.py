@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gaborwt import filter_design
 from gaborwt.filter_design import (
     RieszBoundError,
     _level_filters,
@@ -123,6 +124,30 @@ class TestPrefilter:
         want = bspline_ft(p, w[mask]) / autocorr_ft(p.alpha, w[mask])
         np.testing.assert_allclose(pre.values[mask], want, atol=1e-13)
 
+    def test_design_evaluates_autocorr_once_per_argument(self, monkeypatch):
+        # A(w) does not depend on tau: the levels and both pre-filters divide
+        # by one evaluation, so a design that builds evaluates A at w, w + pi
+        # and 2w only
+        calls = []
+
+        def counted(alpha, omega):
+            calls.append(np.size(omega))
+            return autocorr_ft(alpha, omega)
+
+        monkeypatch.setattr(filter_design, "autocorr_ft", counted)
+        filter_design._design_dual_tree_cached.cache_clear()
+        p, n = SplineParams(3.0, 0.25), 1024
+        d = design_dual_tree(p, n, 4)
+        assert calls == [n, n, n]
+        grid = FrequencyGrid(n)
+        neg = grid.negated_bins()
+        for ch, q in ((d.channel_a, p), (d.channel_b, p.half_shifted())):
+            raw = bspline_ft(q, grid.omega) / autocorr_ft(q.alpha, grid.omega)
+            c = np.cos(np.pi * q.tau)
+            raw[n // 2] = np.sign(c) * np.abs(raw[n // 2])
+            want = 0.5 * (raw + np.conj(raw[neg]))  # exact when raw is Hermitian
+            assert np.array_equal(ch.prefilter.values, want)
+
     def test_design_shares_one_grid(self):
         # both channels' pre-filters and level-0 responses hold level 0's grid
         d = design_dual_tree(SplineParams(2.5, 0.25), 256, 3)
@@ -194,7 +219,8 @@ class TestOneGrid:
         p = SplineParams(alpha, tau)
         ch = design_channel(p, n, levels)
         for i, lf in enumerate(ch.levels):
-            direct = _level_filters(p, FrequencyGrid(n >> i))
+            grid = FrequencyGrid(n >> i)
+            direct = _level_filters(p, grid, autocorr_ft(alpha, grid.omega))
             for name in RESPONSES:
                 np.testing.assert_allclose(getattr(lf, name).values,
                                            getattr(direct, name).values, rtol=0.0, atol=1e-12)

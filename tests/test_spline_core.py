@@ -59,6 +59,12 @@ class TestFrequencyGrid:
         with pytest.raises(TypeError):
             FrequencyGrid(8, omega=np.zeros(8))
 
+    def test_compares_and_hashes_by_length(self):
+        assert FrequencyGrid(8) == FrequencyGrid(8)
+        assert hash(FrequencyGrid(8)) == hash(FrequencyGrid(8))
+        assert FrequencyGrid(8) != FrequencyGrid(16)
+        assert len({FrequencyGrid(8), FrequencyGrid(8), FrequencyGrid(16)}) == 2
+
 
 class TestFracPower:
     def test_principal_branch(self):
@@ -69,6 +75,20 @@ class TestFracPower:
         assert frac_power(0.0, 1.5) == 0.0
         with pytest.raises(ValueError):
             frac_power(0.0, -0.5)
+
+    def test_zeros_in_an_array(self):
+        z = np.array([0.0, -4.0, 0.0, 1j, 2.0 + 3.0j])
+        zero = z == 0
+        for gamma in (0.5, 1.0, 2.5):
+            got = frac_power(z, gamma)
+            assert np.array_equal(got[zero], np.zeros(2))
+            nz = z[~zero]
+            assert np.array_equal(got[~zero],
+                                  np.abs(nz) ** gamma * np.exp(1j * gamma * np.angle(nz)))
+        for gamma in (0.0, -0.5):
+            with pytest.raises(ValueError):
+                frac_power(z, gamma)
+        assert np.array_equal(spline_core._pow0(z, 0.0), np.ones(5))
 
     @given(st.floats(0.1, 10.0), st.floats(-3.0, 3.0))
     @settings(max_examples=50, deadline=None)
@@ -137,6 +157,18 @@ class TestRefinementFT:
         grid = FrequencyGrid(64)
         vals = refinement_ft(SplineParams(2.3, 0.4), grid.omega)
         ComplexResponse(grid, vals, real_time_domain=True)  # asserts symmetry
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.5, 3.0])
+    @pytest.mark.parametrize("tau", [0.0, 0.25, 0.5])
+    def test_bits_of_the_defining_product(self, alpha, tau):
+        # both powers share one modulus and argument; the product keeps
+        # the order of the closed form, to the last bit
+        grid_w = FrequencyGrid(4096).omega
+        w = np.concatenate([grid_w, np.pi - grid_w])  # the arguments of h_tilde and g_tilde
+        x = 1.0 + np.exp(1j * w)
+        g1, g2 = (alpha + 1.0) / 2.0 - tau, (alpha + 1.0) / 2.0 + tau
+        want = 2.0 ** -(alpha + 1.0) * spline_core._pow0(x, g1) * spline_core._pow0(np.conj(x), g2)
+        assert np.array_equal(refinement_ft(SplineParams(alpha, tau), w), want)
 
 
 class TestFdFT:
@@ -241,6 +273,26 @@ class TestHurwitzZeta:
     def test_matches_scipy(self, s):
         np.testing.assert_allclose(spline_core._hurwitz_zeta(s, self.Q), scipy_zeta(s, self.Q),
                                    rtol=ZETA_RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
+    def test_bits_of_the_plain_loop(self, alpha):
+        # the in-place accumulation rounds exactly as the out-of-place
+        # Euler-Maclaurin loop it replaces
+        s, q = 2.0 * (alpha + 1.0), self.Q
+        w = q + 9.0
+        want = q ** -s
+        for k in range(1, 10):
+            want = want + (q + k) ** -s
+        b = w ** -s
+        want = want + b * w / (s - 1.0)
+        want = want - 0.5 * b
+        k = 0.0
+        for divisor in spline_core._EM_DIVISORS:
+            b = b * (s + k) / w
+            want = want + b / divisor
+            b = b * (s + k + 1.0) / w
+            k += 2.0
+        assert np.array_equal(spline_core._hurwitz_zeta(s, q), want)
 
     def test_large_order_stays_finite(self):
         # zeta(s, q) -> q^{-s}: 1 at q = 1 and 0 above it
