@@ -9,6 +9,8 @@ failed, e.g. an imaginary residue).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -81,6 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", dest="out_path", default=None,
                     help="optional CSV dump of the analytic filter magnitude")
+    sp.add_argument("--json", action="store_true",
+                    help="print one JSON object per check instead of the report")
 
     sp = sub.add_parser("gabor-compare", help="tabulate Gabor convergence per degree")
     sp.add_argument("--alphas", default="3,4,6,10", help="comma-separated increasing degrees")
@@ -151,7 +155,11 @@ def cmd_render(args) -> int:
 
 def cmd_verify(args) -> int:
     results = run_all(seed=args.seed, analytic_data_path=args.out_path)
-    print(format_report(results))
+    if args.json:
+        for r in results:
+            print(json.dumps(dataclasses.asdict(r)))
+    else:
+        print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 

@@ -125,12 +125,16 @@ def _level_filters(p: SplineParams, grid: FrequencyGrid, a_w: np.ndarray) -> Lev
 
     ht = refinement_ft(p, w)
     # h_tilde(-1/z) is the closed form at frequency pi - w
-    gt = np.exp(1j * w)
+    gt = np.multiply(1j, w)
+    np.exp(gt, out=gt)
     gt *= a_mirror
     gt *= refinement_ft(p, np.pi - w)
     h = ht * a_w
     h /= a_dil
-    g = gt / (a_dil * a_mirror)
+    a_dil *= a_mirror  # A(2w) A(w+pi); the A arrays are released once g is formed
+    del a_mirror
+    g = gt / a_dil
+    del a_dil
     return LevelFilters(
         h_tilde=ComplexResponse(grid, ht, real_time_domain=True),
         g_tilde=ComplexResponse(grid, gt, real_time_domain=True),
@@ -155,7 +159,8 @@ def prefilter_response(p: SplineParams, grid: FrequencyGrid,
     w = grid.omega
     if autocorr is None:
         autocorr = _autocorr_checked(p.alpha, w)
-    vals = bspline_ft(p, w) / autocorr
+    vals = bspline_ft(p, w)
+    vals /= autocorr
     c = np.cos(np.pi * p.tau)
     sign = 1.0 if abs(c) < 1e-12 else np.sign(c)
     vals[grid.n // 2] = sign * np.abs(vals[grid.n // 2])

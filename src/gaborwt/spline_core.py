@@ -22,7 +22,8 @@ whose Fourier coefficients are exactly 1/(pi(k+1/2)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +40,11 @@ __all__ = [
 ]
 
 _HERMITIAN_TOL = 1e-12
+
+# bins per block of the frequency kernels and the Hermitian check: their
+# temporaries stay cache-sized, and a design's transient memory no longer
+# grows with n
+_BLOCK = 8192
 
 # (2j)! / B_{2j} for j = 1..12: the Euler-Maclaurin divisors of Cephes' zeta
 _EM_DIVISORS = (
@@ -79,17 +85,22 @@ class FrequencyGrid:
     """
 
     n: int
-    # derived from n, so it takes no part in equality or hashing
-    omega: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
         if n < 4 or (n & (n - 1)) != 0:
             raise ValueError(f"grid length must be a power of two >= 4, got {n}")
+
+    @functools.cached_property
+    def omega(self) -> np.ndarray:
+        """The frequencies, computed when first read: derived from n, so
+        they take no part in equality or hashing, and a grid nothing
+        evaluates on (a coarse pyramid level's) holds no array."""
+        n = self.n
         om = 2.0 * np.pi * np.arange(n, dtype=np.float64) / n
         om[n // 2 + 1:] -= 2.0 * np.pi
         om[n // 2] = np.pi
-        object.__setattr__(self, "omega", om)
+        return om
 
     def negated_bins(self) -> np.ndarray:
         """Index map k -> bin of -omega[k] (mod 2*pi)."""
@@ -109,12 +120,14 @@ class ComplexResponse:
     each conjugate pair, so an anti-Hermitian rounding residue would
     enter them from one side only.
 
-    Bin -k is read from reversed views (v[0], then v[:0:-1]) rather than
-    through an index array.  The operations keep their order because the
-    stored responses must not move by a bit: the projection adds the same
-    two operands (a floating-point sum is commutative), and the check
-    measures |conj(v(-k)) - v(k)|, which is exactly the conjugate of
-    v(-k) - conj(v(k)) and so has the same modulus.
+    The check and the projection run block by block (:func:`_blocks`),
+    reading bin -k from a reversed view rather than through an index
+    array, so their temporaries stay a block long.  The operations keep
+    their order because the stored responses must not move by a bit: the
+    projection adds the same two operands (a floating-point sum is
+    commutative), and the check measures |conj(v(-k)) - v(k)|, which is
+    exactly the conjugate of v(-k) - conj(v(k)) and so has the same
+    modulus.
     """
 
     grid: FrequencyGrid
@@ -130,24 +143,65 @@ class ComplexResponse:
             if dev > _HERMITIAN_TOL:
                 raise ValueError(f"response is not Hermitian (deviation {dev:.3e})")
             if dev > 0.0:
-                part = _conj_negated(self.values)
-                part += self.values
-                part *= 0.5
+                v = self.values
+                part = np.empty_like(v)
+                for lo, hi in _blocks(v.size):
+                    block = _conj_negated(v, lo, hi, part[lo:hi])
+                    block += v[lo:hi]
+                    block *= 0.5
                 self.values = part
 
     def hermitian_deviation(self) -> float:
-        d = _conj_negated(self.values)
-        d -= self.values
-        return float(np.max(np.abs(d)))
+        v = self.values
+        scratch = np.empty(min(v.size, _BLOCK + 1), dtype=np.complex128)
+        worst = 0.0
+        for lo, hi in _blocks(v.size):
+            d = _conj_negated(v, lo, hi, scratch[:hi - lo])
+            d -= v[lo:hi]
+            worst = np.maximum(worst, np.abs(d).max())  # a NaN propagates
+        return float(worst)
 
 
-def _conj_negated(v: np.ndarray) -> np.ndarray:
-    """conj(v[-k mod n]) for every bin k: the conjugates of v[0], then of
-    v[n-1] down to v[1], read from a reversed view."""
-    out = np.empty_like(v)
-    np.conjugate(v[:1], out=out[:1])
-    np.conjugate(v[:0:-1], out=out[1:])
+def _blocks(n: int):
+    """(lo, hi) bounds of the blocks that cover n bins: _BLOCK bins each,
+    except that a last block of one bin is merged into the one before.
+    numpy rounds some operations on a one-element array differently from
+    the same operation inside a longer one (an in-place complex product,
+    for one), so a one-bin block would move that bin's bits."""
+    lo = 0
+    while lo < n:
+        hi = lo + _BLOCK
+        if n - hi <= 1:
+            hi = n
+        yield lo, hi
+        lo = hi
+
+
+def _conj_negated(v: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """conj(v[-k mod n]) for the bins lo <= k < hi, into ``out``: bin 0 is
+    its own mirror, and bins n-lo down to n-hi+1 are read from a reversed
+    view."""
+    n = v.size
+    if lo == 0:
+        np.conjugate(v[:1], out=out[:1])
+        np.conjugate(v[n - 1:n - hi:-1], out=out[1:])
+    else:
+        np.conjugate(v[n - lo:n - hi:-1], out=out)
     return out
+
+
+def _blockwise(kernel, omega, dtype, *args):
+    """``kernel(w, out, *args)`` evaluated on the _BLOCK-bin blocks of the
+    flattened ``omega``, each written into its slice of one preallocated
+    output: a kernel's temporaries are then a few blocks, whatever the
+    length.  Every kernel is elementwise, so a bin's value does not depend
+    on the block it falls in.  A scalar ``omega`` gives a scalar."""
+    w = np.asarray(omega, dtype=np.float64)
+    flat = w.reshape(-1)
+    out = np.empty(flat.shape, dtype=dtype)
+    for lo, hi in _blocks(flat.size):
+        kernel(flat[lo:hi], out[lo:hi], *args)
+    return out[0] if w.ndim == 0 else out.reshape(w.shape)
 
 
 def frac_power(z, gamma):
@@ -179,18 +233,28 @@ def _pow0(z, gamma):
     return _pow0_polar(np.abs(z), np.angle(z), gamma)
 
 
-def _pow0_polar(r: np.ndarray, theta: np.ndarray, gamma: float) -> np.ndarray:
-    """z^gamma from r = |z| and theta = Arg z, with 0^0 = 1.
+def _pow0_polar(r: np.ndarray, theta: np.ndarray, gamma: float,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """z^gamma from r = |z| and theta = Arg z, with 0^0 = 1, into ``out``
+    (a new array when None).
 
-    Evaluated as r^gamma * e^{j gamma theta} in exactly this order: every
-    filter is built on these values, and a reordering (a reciprocal, a
-    product regrouped) moves their last bits.
+    Evaluated as e^{j gamma theta}, formed in ``out`` and then scaled in
+    place by r^gamma: the products and their operand pairs of
+    r^gamma * e^{j gamma theta}, so the same bits.  Every filter is built
+    on these values, and a reordering (a reciprocal, a product regrouped)
+    moves their last bits.
     """
+    if out is None:
+        out = np.empty(r.shape, dtype=np.complex128)
     if gamma == 0:
-        return np.ones(r.shape, dtype=np.complex128)
+        out.fill(1.0)
+        return out
     if gamma < 0 and np.any(r == 0):
         raise ValueError("0 cannot be raised to a negative fractional power")
-    return r ** gamma * np.exp(1j * gamma * theta)
+    np.multiply(1j * gamma, theta, out=out)
+    np.exp(out, out=out)
+    out *= r ** gamma
+    return out
 
 
 def bspline_ft(params: SplineParams, omega) -> np.ndarray:
@@ -199,25 +263,36 @@ def bspline_ft(params: SplineParams, omega) -> np.ndarray:
     beta^(omega) = ((1 - e^{-jw})/(jw))^{(a+1)/2 + t} ((1 - e^{jw})/(-jw))^{(a+1)/2 - t}
 
     The removable singularities at w = 2*pi*k are evaluated by limit:
-    1 at w = 0, 0 elsewhere.
+    1 at w = 0, 0 elsewhere.  The second numerator 1 - e^{jw} is the
+    conjugate of the first to the bit, but each base keeps its own
+    division: where a base is negative real, the two quotients can carry
+    zero imaginary parts of the same sign, and so the same argument -pi
+    where conjugates would give -pi and pi (at w = -4*pi, for one).
     """
     a, t = params.alpha, params.tau
-    w = np.atleast_1d(np.asarray(omega, dtype=np.float64))
-    scalar = np.ndim(omega) == 0
-    p1 = (a + 1.0) / 2.0 + t
-    p2 = (a + 1.0) / 2.0 - t
-    out = np.zeros(w.shape, dtype=np.complex128)
-    at_dc = w == 0.0
-    # 1 - e^{-jw} vanishes at every multiple of 2*pi; nonzero multiples give 0
-    at_other_mult = (~at_dc) & (np.abs(np.exp(-1j * w) - 1.0) == 0.0)
-    reg = ~(at_dc | at_other_mult)
-    if np.any(reg):
-        wr = w[reg]
-        base1 = (1.0 - np.exp(-1j * wr)) / (1j * wr)
-        base2 = (1.0 - np.exp(1j * wr)) / (-1j * wr)
-        out[reg] = _pow0(base1, p1) * _pow0(base2, p2)
-    out[at_dc] = 1.0
-    return out[0] if scalar else out
+    return _blockwise(_bspline_block, omega, np.complex128,
+                      (a + 1.0) / 2.0 + t, (a + 1.0) / 2.0 - t)
+
+
+def _bspline_block(w: np.ndarray, out: np.ndarray, p1: float, p2: float):
+    num = np.multiply(-1j, w)
+    np.exp(num, out=num)
+    np.subtract(1.0, num, out=num)  # 1 - e^{-jw}
+    # it vanishes at every multiple of 2*pi, where the limits are used
+    reg = np.abs(num) != 0.0
+    vals = out
+    if not reg.all():
+        out[:] = 0.0
+        out[w == 0.0] = 1.0
+        w, num = w[reg], num[reg]
+        vals = np.empty_like(num)
+    b2 = np.conjugate(num)  # 1 - e^{jw} to the bit, for w != 0
+    np.divide(b2, -1j * w, out=b2)
+    b1 = np.divide(num, 1j * w, out=num)
+    np.multiply(_pow0_polar(np.abs(b1), np.angle(b1), p1, out=b1),
+                _pow0_polar(np.abs(b2), np.angle(b2), p2, out=b2), out=vals)
+    if vals is not out:
+        out[reg] = vals
 
 
 def refinement_ft(params: SplineParams, omega) -> np.ndarray:
@@ -236,13 +311,18 @@ def refinement_ft(params: SplineParams, omega) -> np.ndarray:
     values.  x never vanishes on the float grid (sin(fl(pi)) != 0).
     """
     a, t = params.alpha, params.tau
-    w = np.atleast_1d(np.asarray(omega, dtype=np.float64))
-    scalar = np.ndim(omega) == 0
-    x = 1.0 + np.exp(1j * w)
+    return _blockwise(_refinement_block, omega, np.complex128,
+                      2.0 ** -(a + 1.0), (a + 1.0) / 2.0 - t, (a + 1.0) / 2.0 + t)
+
+
+def _refinement_block(w: np.ndarray, out: np.ndarray, scale: float, g1: float, g2: float):
+    x = np.multiply(1j, w)
+    np.exp(x, out=x)
+    x += 1.0  # x = 1 + e^{jw}
     r, theta = np.abs(x), np.angle(x)
-    out = (2.0 ** -(a + 1.0)) * _pow0_polar(r, theta, (a + 1.0) / 2.0 - t)
-    out *= _pow0_polar(r, -theta, (a + 1.0) / 2.0 + t)
-    return out[0] if scalar else out
+    _pow0_polar(r, theta, g1, out=out)
+    out *= scale
+    out *= _pow0_polar(r, np.negative(theta, out=theta), g2, out=x)
 
 
 def fd_ft(alpha: float, tau: float, omega) -> np.ndarray:
@@ -250,25 +330,35 @@ def fd_ft(alpha: float, tau: float, omega) -> np.ndarray:
 
     D^a_t(e^{jw}) = (1 - e^{-jw})^{a/2 + t} (1 - e^{jw})^{a/2 - t}
 
-    evaluated by the product closed form on the principal branch.  At
-    w = 0 (mod 2*pi) the value is defined as 0 (sign(0) = 0 convention;
-    the sole exception is the trivial operator a = t = 0 which is 1).
-    The zeroth-order half-shift case (a=0, t=-1/2) reduces to
-    -j*sign(w)*e^{+jw/2} on the open interval and to 1 at w = pi.
+    evaluated by the product closed form on the principal branch; the
+    second base is the conjugate of the first to the bit, so both powers
+    come from one modulus and one argument.  At w = 0 (mod 2*pi) the
+    value is defined as 0 (sign(0) = 0 convention; the sole exception is
+    the trivial operator a = t = 0 which is 1).  The zeroth-order
+    half-shift case (a=0, t=-1/2) reduces to -j*sign(w)*e^{+jw/2} on the
+    open interval and to 1 at w = pi.
     """
-    w = np.atleast_1d(np.asarray(omega, dtype=np.float64))
-    scalar = np.ndim(omega) == 0
-    e1 = alpha / 2.0 + tau
-    e2 = alpha / 2.0 - tau
-    z = np.exp(1j * w)
-    at_mult = np.abs(1.0 - z) == 0.0
-    out = np.zeros(w.shape, dtype=np.complex128)
-    reg = ~at_mult
-    if np.any(reg):
-        out[reg] = (_pow0(1.0 - np.conj(z[reg]), e1) * _pow0(1.0 - z[reg], e2))
-    if alpha == 0 and tau == 0:
-        out[at_mult] = 1.0
-    return out[0] if scalar else out
+    return _blockwise(_fd_block, omega, np.complex128, alpha / 2.0 + tau, alpha / 2.0 - tau,
+                      1.0 if alpha == 0 and tau == 0 else 0.0)
+
+
+def _fd_block(w: np.ndarray, out: np.ndarray, e1: float, e2: float, at_mult_value: float):
+    base = np.multiply(1j, w)
+    np.exp(base, out=base)
+    np.conjugate(base, out=base)
+    np.subtract(1.0, base, out=base)  # 1 - conj(e^{jw}); 1 - e^{jw} is its conjugate
+    r = np.abs(base)
+    reg = r != 0.0
+    vals = out
+    if not reg.all():
+        out[:] = at_mult_value
+        r, base = r[reg], base[reg]
+        vals = np.empty_like(base)
+    theta = np.angle(base)
+    np.multiply(_pow0_polar(r, theta, e1, out=base),
+                _pow0_polar(r, np.negative(theta, out=theta), e2), out=vals)
+    if vals is not out:
+        out[reg] = vals
 
 
 def ht_filter(k) -> np.ndarray:
@@ -333,38 +423,43 @@ def autocorr_ft(alpha: float, omega) -> np.ndarray:
     """
     if alpha < 0:
         raise ValueError("degree must be non-negative")
-    w = np.atleast_1d(np.asarray(omega, dtype=np.float64))
-    scalar = np.ndim(omega) == 0
+    out = _blockwise(_autocorr_block, omega, np.float64, 2.0 * (alpha + 1.0))
+    return float(out) if np.ndim(omega) == 0 else out
+
+
+def _autocorr_block(w: np.ndarray, out: np.ndarray, s: float):
     # A is even; reducing |w| keeps a small negative w small instead of
     # mapping it to 2*pi - |w|, where that subtraction loses its digits
     u = np.abs(w)
     np.mod(u, 2.0 * np.pi, out=u)  # reduce to [0, 2*pi)
     u[u >= 2.0 * np.pi] = 0.0  # np.mod can round up to exactly 2*pi
-    s = 2.0 * (alpha + 1.0)
-    out = np.ones(u.shape, dtype=np.float64)
     # subnormal u underflows sin(u/2) to 0; A is 1 to working precision there
     reg = u >= np.finfo(np.float64).tiny
-    if np.any(reg):
-        # The k = 0 and k = -1 lattice terms blow up as u -> 0 or 2*pi;
-        # peel them out of the zetas so every factor stays bounded.  The
-        # three terms are summed in place, in the order
-        # (m/u)^s + (m/(2 pi - u))^s + (m/(2 pi))^s * tail.
+    if reg.all():
+        ur, total = u, out
+    else:
+        out[:] = 1.0
         ur = u[reg]
-        q = ur / (2.0 * np.pi)
-        m = ur / 2.0
-        np.sin(m, out=m)
-        m *= 2.0
-        tail = _hurwitz_zeta(s, 1.0 + q)
-        tail += _hurwitz_zeta(s, 2.0 - q)
-        far = m / (2.0 * np.pi)
-        far **= s
-        tail *= far  # (m/(2 pi))^s * tail
-        total = np.divide(m, ur, out=far)
-        total **= s  # (m/u)^s
-        mirror = np.subtract(2.0 * np.pi, ur, out=q)
-        np.divide(m, mirror, out=mirror)
-        mirror **= s  # (m/(2 pi - u))^s
-        total += mirror
-        total += tail
+        total = np.empty_like(ur)
+    # The k = 0 and k = -1 lattice terms blow up as u -> 0 or 2*pi; peel
+    # them out of the zetas so every factor stays bounded.  The three
+    # terms are summed in place, in the order
+    # (m/u)^s + (m/(2 pi - u))^s + (m/(2 pi))^s * tail.
+    q = ur / (2.0 * np.pi)
+    m = ur / 2.0
+    np.sin(m, out=m)
+    m *= 2.0
+    tail = _hurwitz_zeta(s, 1.0 + q)
+    tail += _hurwitz_zeta(s, 2.0 - q)
+    far = m / (2.0 * np.pi)
+    far **= s
+    tail *= far  # (m/(2 pi))^s * tail
+    np.divide(m, ur, out=total)
+    total **= s  # (m/u)^s
+    mirror = np.subtract(2.0 * np.pi, ur, out=q)
+    np.divide(m, mirror, out=mirror)
+    mirror **= s  # (m/(2 pi - u))^s
+    total += mirror
+    total += tail
+    if total is not out:
         out[reg] = total
-    return float(out[0]) if scalar else out

@@ -21,6 +21,7 @@ from gaborwt.io import (
 from gaborwt.spline_core import SplineParams
 from gaborwt.transform1d import Signal1D, dtcwt1d_forward
 from gaborwt.transform2d import build_channel_table, dtcwt2d_forward
+from gaborwt.verify import CheckResult, run_all
 
 RNG = np.random.default_rng(11)
 
@@ -286,3 +287,26 @@ class TestCli:
                      "--in", str(tmp_path / "img.f8"),
                      "--out", str(tmp_path / "pyr")]) == 3
         assert "internal error" in capsys.readouterr().err
+
+    def test_verify_json_lists_the_checks_of_run_all(self, monkeypatch, capsys):
+        seen = []
+
+        def recorded(**kwargs):
+            seen.extend(run_all(**kwargs))
+            return seen
+
+        monkeypatch.setattr("gaborwt.cli.run_all", recorded)
+        code = main(["verify", "--json"])
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["name"] for r in rows] == [r.name for r in seen]
+        for row, r in zip(rows, seen):
+            assert row == {"name": r.name, "value": r.value, "tolerance": r.tolerance,
+                           "comparison": r.comparison, "passed": r.passed}
+        assert code == (0 if all(r.passed for r in seen) else 1)
+
+    @pytest.mark.parametrize("passed,code", [(True, 0), (False, 1)])
+    def test_verify_json_keeps_the_exit_code(self, monkeypatch, capsys, passed, code):
+        monkeypatch.setattr("gaborwt.cli.run_all",
+                            lambda **kwargs: [CheckResult("check", 1.0, 2.0, passed)])
+        assert main(["verify", "--json"]) == code
+        assert json.loads(capsys.readouterr().out)["passed"] is passed

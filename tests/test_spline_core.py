@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -64,6 +65,17 @@ class TestFrequencyGrid:
         assert hash(FrequencyGrid(8)) == hash(FrequencyGrid(8))
         assert FrequencyGrid(8) != FrequencyGrid(16)
         assert len({FrequencyGrid(8), FrequencyGrid(8), FrequencyGrid(16)}) == 2
+
+    def test_omega_computed_when_first_read(self):
+        g = FrequencyGrid(16)
+        assert "omega" not in vars(g)  # a grid nothing evaluates on holds no array
+        k = np.arange(16)
+        want = 2.0 * np.pi * k / 16
+        want[9:] -= 2.0 * np.pi
+        want[8] = np.pi
+        w = g.omega
+        assert w.tobytes() == want.tobytes()
+        assert g.omega is w
 
 
 class TestFracPower:
@@ -132,6 +144,19 @@ class TestBsplineFT:
         want = (np.sin(w / 2.0) / (w / 2.0)) ** 4
         np.testing.assert_allclose(got, want, atol=1e-13)
 
+    @pytest.mark.parametrize("alpha, tau", [(0.0, 0.0), (2.5, 0.25), (3.0, -0.5)])
+    def test_bits_of_the_defining_product(self, alpha, tau):
+        # the second base's numerator is the conjugate of the first's, but
+        # each base keeps its own division (see bspline_ft)
+        grid_w = FrequencyGrid(4096).omega[1:]
+        w = np.concatenate([grid_w, 2.0 * grid_w, np.linspace(-20.0, 20.0, 4000)])
+        w = w[np.abs(1.0 - np.exp(-1j * w)) != 0.0]
+        b1 = (1.0 - np.exp(-1j * w)) / (1j * w)
+        b2 = (1.0 - np.exp(1j * w)) / (-1j * w)
+        p1, p2 = (alpha + 1.0) / 2.0 + tau, (alpha + 1.0) / 2.0 - tau
+        want = spline_core._pow0(b1, p1) * spline_core._pow0(b2, p2)
+        assert bspline_ft(SplineParams(alpha, tau), w).tobytes() == want.tobytes()
+
 
 class TestRefinementFT:
     def test_dc_gain(self):
@@ -172,6 +197,17 @@ class TestRefinementFT:
 
 
 class TestFdFT:
+    @pytest.mark.parametrize("alpha, tau", [(0.0, -0.5), (2.5, 0.25), (1.0, 0.5)])
+    def test_bits_of_the_defining_product(self, alpha, tau):
+        # both powers share one modulus and argument, to the last bit
+        grid_w = FrequencyGrid(4096).omega[1:]
+        w = np.concatenate([grid_w, np.pi - grid_w])  # the arguments of D and D(-1/z)
+        w = w[w != 0.0]
+        z = np.exp(1j * w)
+        want = (spline_core._pow0(1.0 - np.conj(z), alpha / 2.0 + tau)
+                * spline_core._pow0(1.0 - z, alpha / 2.0 - tau))
+        assert fd_ft(alpha, tau, w).tobytes() == want.tobytes()
+
     def test_half_shift_operator_value(self):
         # D = D^0_{-1/2} at pi/2 on the principal branch
         got = fd_ft(0.0, -0.5, np.pi / 2.0)
@@ -341,8 +377,65 @@ class TestComplexResponse:
         np.testing.assert_array_equal(r.values, 0.5 * (raw + np.conj(raw[neg])))
         np.testing.assert_allclose(r.values, real, rtol=0.0, atol=1e-14)
 
+    def test_blockwise_check_and_projection(self):
+        # four blocks: every mirror block is read across a block boundary
+        n = 4 * spline_core._BLOCK
+        grid = FrequencyGrid(n)
+        neg = grid.negated_bins()
+        rng = np.random.default_rng(4)
+        real = np.fft.fft(rng.standard_normal(n))
+        noise = 1e-14 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        raw = real + (noise - np.conj(noise[neg]))
+        dev = np.max(np.abs(np.conj(raw[neg]) - raw))
+        assert ComplexResponse(grid, raw).hermitian_deviation() == dev
+        r = ComplexResponse(grid, raw, real_time_domain=True)
+        assert r.values.tobytes() == (0.5 * (np.conj(raw[neg]) + raw)).tobytes()
+
     def test_exactly_hermitian_values_kept_as_given(self):
         grid = FrequencyGrid(16)
         raw = np.fft.fft(np.arange(16.0))
         vals = raw + np.conj(raw[grid.negated_bins()])  # Hermitian to the last bit
         assert ComplexResponse(grid, vals, real_time_domain=True).values is vals
+
+
+_BLOCK = spline_core._BLOCK
+KERNELS = {
+    "autocorr_ft": lambda w: autocorr_ft(2.5, w),
+    "refinement_ft": lambda w: refinement_ft(SplineParams(2.5, 0.25), w),
+    "bspline_ft": lambda w: bspline_ft(SplineParams(2.5, 0.25), w),
+    "fd_ft": lambda w: fd_ft(0.0, -0.5, w),
+}
+
+
+class TestBlockwiseKernels:
+    """The frequency kernels run in fixed blocks of bins, into one output."""
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_peak_memory_is_the_output_and_a_few_blocks(self, name):
+        w = FrequencyGrid(1 << 17).omega
+        tracemalloc.start()
+        try:
+            out = KERNELS[name](w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # eight complex blocks: 1 MiB, against 2 MiB of output
+        assert peak <= out.nbytes + 8 * _BLOCK * 16
+
+    @pytest.mark.parametrize("name", KERNELS)
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_blocks_match_sub_block_evaluations(self, name, n):
+        k = np.arange(n)
+        w = 2.0 * np.pi * k / n
+        w[k > n // 2] -= 2.0 * np.pi
+        w[n // 2] = np.pi  # bins 0 and n/2 are 0 and pi
+        # pieces that straddle the blocks' bounds; none has one bin, which
+        # numpy may round differently (see spline_core._blocks)
+        inner = (3, 1000, _BLOCK // 2 + 1, _BLOCK - 2, _BLOCK + 3, 2 * _BLOCK - 7,
+                 2 * _BLOCK + 5, 3 * _BLOCK + 1)
+        cuts = [0, *(c for c in inner if c < n - 1), n]
+        kernel = KERNELS[name]
+        whole = kernel(w)
+        parts = np.concatenate([kernel(w[a:b]) for a, b in zip(cuts, cuts[1:])])
+        assert np.array_equal(whole, parts)
+        assert whole.tobytes() == parts.tobytes()
